@@ -48,7 +48,6 @@ util::Status Engine::Prepare() {
   for (const datalog::IndexHint& hint : program_->index_hints()) {
     db.SetIndexKindOverride(hint.predicate, hint.column, hint.kind);
   }
-  ctx_->set_probe_batch_window(config_.probe_batch_window);
   if (config_.eliminate_aliases) {
     datalog::EliminateAliases(program_);
   }

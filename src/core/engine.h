@@ -43,9 +43,6 @@ struct EngineConfig {
   /// Program-level hints (Program::HintIndexKind, the DSL HintIndex, or
   /// a parsed `@index` pragma) override either, per column.
   std::optional<storage::IndexKind> index_kind;
-  /// Outer-window size for batch-at-a-time index probes (see
-  /// ir::ExecContext::probe_batch_window); 0 disables batching.
-  uint32_t probe_batch_window = 64;
   /// Push comparison builtins into the storage layer: lowering annotates
   /// each eligible atom with per-side range bounds (ir::AnnotateRangeBounds)
   /// and the evaluators serve them through Relation::ProbeRange when the

@@ -8,57 +8,16 @@
 #include <utility>
 #include <vector>
 
-#include "core/worker_pool.h"
-#include "datalog/builtins.h"
-#include "ir/range_access.h"
+#include "ir/atom_access.h"
 #include "util/status.h"
 
 namespace carac::ir {
 
 namespace {
 
-using datalog::BuiltinBindsOutput;
-using datalog::BuiltinOp;
-using storage::Relation;
 using storage::RowId;
 using storage::Tuple;
-using storage::TupleView;
 using storage::Value;
-
-/// Per-column behaviour of one relational atom, precomputed per execution
-/// (atom order can change between executions, so boundness is dynamic).
-struct TermAction {
-  enum class Kind : uint8_t { kCheckConst, kCheckVar, kBind };
-  Kind kind;
-  uint32_t col;
-  Value constant = 0;
-  LocalVar var = -1;
-};
-
-/// For arithmetic builtins: what to do with the output term.
-enum class OutMode : uint8_t { kBind, kCheckVar, kCheckConst };
-
-struct AtomPlan {
-  const AtomSpec* atom = nullptr;
-  const Relation* rel = nullptr;  // Relational atoms only.
-  std::vector<TermAction> actions;
-  // Access path: probe an index on probe_col (value from a constant or an
-  // already-bound variable), or scan when probe_col < 0.
-  int32_t probe_col = -1;
-  bool probe_is_const = false;
-  Value probe_const = 0;
-  LocalVar probe_var = -1;
-  OutMode out_mode = OutMode::kBind;  // Arithmetic builtins only.
-  // Runtime access counters for (predicate, probe_col), resolved at
-  // plan-build time so the join loops pay plain increments. Non-null iff
-  // probe_col >= 0.
-  ColumnProbeStats* probe_stats = nullptr;
-  // Range pushdown: non-null iff the atom carries annotated bounds on an
-  // indexed column AND no point probe applies (a point probe always
-  // wins). Counters for (predicate, range_col); the join resolves the
-  // bounds per outer binding and may serve the atom via TryRangeProbe.
-  ColumnProbeStats* range_stats = nullptr;
-};
 
 /// The join executor. Stack-allocated per subquery evaluation.
 class SubqueryRun {
@@ -76,7 +35,7 @@ class SubqueryRun {
       return;
     }
     if (RunSharded()) return;
-    if (ctx_.probe_batch_window() > 0 && BatchEligible()) {
+    if (BatchJoinable(plan_)) {
       JoinBatchedWindow<false>(0, static_cast<size_t>(-1));
       return;
     }
@@ -93,7 +52,7 @@ class SubqueryRun {
     binding_.assign(op_.num_locals, 0);
     BuildPlan();
     staging_ = out;
-    if (ctx_.probe_batch_window() > 0 && BatchEligible()) {
+    if (BatchJoinable(plan_)) {
       JoinBatchedWindow<true>(begin, end);
     } else {
       JoinOuterWindow(begin, end);
@@ -109,131 +68,27 @@ class SubqueryRun {
   /// RowIds) for every thread count. Returns false when the subquery
   /// must (or should) run single-threaded: no pool, a leading builtin or
   /// negation, or an outer scan too small to amortize dispatch.
-  ///
-  /// The dispatch math here deliberately DUPLICATES ShardSubqueryAcrossPool
-  /// (exec_context.cc, used by the pull engine) instead of calling it:
-  /// routing this body through the std::function-taking helper perturbed
-  /// GCC 12's inlining of the recursive Join<> enough to cost ~15% on the
-  /// single-threaded interpreted macrobenchmarks (measured by interleaved
-  /// A/B on CSPA-unoptimized). Any change to the chunking below must be
-  /// mirrored there — the fuzz matrix (push == pull at every thread
-  /// count) is the net that catches a divergence.
   bool RunSharded() {
-    core::WorkerPool* pool = ctx_.worker_pool();
-    if (pool == nullptr || pool->num_threads() <= 1) return false;
-    if (plan_.empty()) return false;
-    const AtomPlan& outer = plan_[0];
-    if (outer.rel == nullptr || outer.atom->negated) return false;
-    // The outer sequence: an index bucket when the first atom probes (no
-    // variable is bound before atom 0, so the key is always a constant),
-    // the range-probe row list when atom 0 carries const bounds the
-    // index will serve, the full RowId range otherwise. This sizing pass
-    // must resolve the range exactly as the workers will (deterministic:
-    // same bounds, same index state) but records no stats — the workers
-    // do, into their shard profilers.
-    size_t outer_rows;
-    if (outer.probe_col >= 0) {
-      outer_rows = outer.rel
-                       ->Probe(static_cast<size_t>(outer.probe_col),
-                               outer.probe_const)
-                       .size();
-    } else if (outer.range_stats != nullptr &&
-               TryRangeProbe(*outer.rel,
-                             static_cast<size_t>(outer.atom->range_col),
-                             ResolveRange(*outer.atom, binding_.data()),
-                             nullptr, &range_scratch_[0])) {
-      outer_rows = range_scratch_[0].size();
-    } else {
-      outer_rows = outer.rel->NumRows();
-    }
-    if (outer_rows < ctx_.parallel_min_rows()) return false;
-    const int shards = pool->num_threads();
-    std::vector<storage::StagingBuffer>& staging =
-        ctx_.StagingFor(shards, op_.head_terms.size());
-    std::vector<uint64_t> considered(static_cast<size_t>(shards), 0);
-    const size_t chunk =
-        (outer_rows + static_cast<size_t>(shards) - 1) / shards;
-    pool->Run(shards, [&](int shard) {
-      const size_t begin = chunk * static_cast<size_t>(shard);
-      const size_t end = std::min(begin + chunk, outer_rows);
-      if (begin >= end) return;
-      SubqueryRun worker(ctx_, op_);
-      // Worker-private counters, merged by MergeStagedDelta below.
-      worker.profiler_ = ctx_.ShardProfiler(shard);
-      worker.RunShard(begin, end, &staging[shard], &considered[shard]);
-    });
-    MergeStagedDelta(ctx_, op_.target, staging, shards, considered.data());
-    return true;
+    if (ctx_.worker_pool() == nullptr) return false;
+    if (plan_.empty() || !plan_[0].atom->is_join_atom()) return false;
+    // Sized from the same row sequence the workers open (no variable is
+    // bound before atom 0, so every shard resolves the identical one),
+    // recording no stats: the workers count their own probes.
+    const size_t outer_rows =
+        OpenRows(plan_[0], binding_.data(), nullptr, &range_scratch_[0]).size;
+    return ShardSubqueryAcrossPool(
+        ctx_, op_.target, outer_rows, op_.head_terms.size(),
+        [&](int shard, size_t begin, size_t end,
+            storage::StagingBuffer* staging, uint64_t* considered) {
+          SubqueryRun worker(ctx_, op_);
+          // Worker-private counters, merged by MergeStagedDelta.
+          worker.profiler_ = ctx_.ShardProfiler(shard);
+          worker.RunShard(begin, end, staging, considered);
+        });
   }
 
   void BuildPlan() {
-    std::vector<bool> bound(op_.num_locals, false);
-    plan_.clear();
-    plan_.reserve(op_.atoms.size());
-    for (const AtomSpec& atom : op_.atoms) {
-      AtomPlan p;
-      p.atom = &atom;
-      if (atom.is_builtin()) {
-        if (BuiltinBindsOutput(atom.builtin)) {
-          const LocalTerm& out = atom.terms[2];
-          if (!out.is_var) {
-            p.out_mode = OutMode::kCheckConst;
-          } else if (bound[out.var]) {
-            p.out_mode = OutMode::kCheckVar;
-          } else {
-            p.out_mode = OutMode::kBind;
-            bound[out.var] = true;
-          }
-        }
-        plan_.push_back(std::move(p));
-        continue;
-      }
-      p.rel = &ctx_.db().Get(atom.predicate, atom.source);
-      if (atom.negated) {
-        // Membership test: every term must be resolvable; no binds.
-        plan_.push_back(std::move(p));
-        continue;
-      }
-      // Probe keys must be available *before* the atom runs: a variable
-      // first bound by this very atom (e.g. the second x of R(x, x)) is a
-      // within-row check, not a probe key.
-      const std::vector<bool> bound_before = bound;
-      for (uint32_t col = 0; col < atom.terms.size(); ++col) {
-        const LocalTerm& t = atom.terms[col];
-        TermAction action;
-        action.col = col;
-        if (!t.is_var) {
-          action.kind = TermAction::Kind::kCheckConst;
-          action.constant = t.constant;
-        } else if (bound[t.var]) {
-          action.kind = TermAction::Kind::kCheckVar;
-          action.var = t.var;
-        } else {
-          action.kind = TermAction::Kind::kBind;
-          action.var = t.var;
-          bound[t.var] = true;
-        }
-        // Pick the first index-supported column whose key is known before
-        // the atom executes.
-        if (p.probe_col < 0 && action.kind != TermAction::Kind::kBind &&
-            (!t.is_var || bound_before[t.var]) && p.rel->HasIndex(col)) {
-          p.probe_col = static_cast<int32_t>(col);
-          p.probe_is_const = action.kind == TermAction::Kind::kCheckConst;
-          p.probe_const = action.constant;
-          p.probe_var = action.var;
-        }
-        p.actions.push_back(action);
-      }
-      if (p.probe_col >= 0) {
-        p.probe_stats = profiler_->Slot(atom.predicate,
-                                        static_cast<size_t>(p.probe_col));
-      } else if (atom.has_range() &&
-                 p.rel->HasIndex(static_cast<size_t>(atom.range_col))) {
-        p.range_stats = profiler_->Slot(atom.predicate,
-                                        static_cast<size_t>(atom.range_col));
-      }
-      plan_.push_back(std::move(p));
-    }
+    plan_ = CompileAtoms(ctx_.db(), op_, profiler_);
     // One range-row buffer per plan depth: Join() recurses, so an inner
     // atom's probe must not clobber an outer atom's live row list.
     range_scratch_.resize(plan_.size());
@@ -253,87 +108,22 @@ class SubqueryRun {
       Emit<kStaged>();
       return;
     }
-    const AtomPlan& p = plan_[i];
-    const AtomSpec& atom = *p.atom;
-
-    if (atom.is_builtin()) {
-      const Value x = Resolve(atom.terms[0]);
-      const Value y = Resolve(atom.terms[1]);
-      if (!BuiltinBindsOutput(atom.builtin)) {
-        if (datalog::EvalComparison(atom.builtin, x, y)) Join<kStaged>(i + 1);
-        return;
-      }
-      Value z;
-      if (!datalog::EvalArithmetic(atom.builtin, x, y, &z)) return;
-      switch (p.out_mode) {
-        case OutMode::kBind:
-          binding_[atom.terms[2].var] = z;
-          Join<kStaged>(i + 1);
-          return;
-        case OutMode::kCheckVar:
-          if (binding_[atom.terms[2].var] == z) Join<kStaged>(i + 1);
-          return;
-        case OutMode::kCheckConst:
-          if (atom.terms[2].constant == z) Join<kStaged>(i + 1);
-          return;
-      }
+    const AtomAccess& p = plan_[i];
+    if (p.atom->is_builtin()) {
+      if (ApplyBuiltin(p, binding_.data())) Join<kStaged>(i + 1);
       return;
     }
-
-    if (atom.negated) {
-      scratch_.clear();
-      for (const LocalTerm& t : atom.terms) scratch_.push_back(Resolve(t));
-      if (!p.rel->Contains(scratch_)) Join<kStaged>(i + 1);
+    if (p.atom->negated) {
+      if (NegationHolds(p, binding_.data(), &scratch_)) Join<kStaged>(i + 1);
       return;
     }
-
-    auto match = [&](TupleView t) {
-      for (const TermAction& action : p.actions) {
-        const Value v = t[action.col];
-        switch (action.kind) {
-          case TermAction::Kind::kCheckConst:
-            if (v != action.constant) return;
-            break;
-          case TermAction::Kind::kCheckVar:
-            if (v != binding_[action.var]) return;
-            break;
-          case TermAction::Kind::kBind:
-            binding_[action.var] = v;
-            break;
-        }
+    const AtomRows rows =
+        OpenRows(p, binding_.data(), p.stats, &range_scratch_[i]);
+    rows.ForEach(0, rows.size, [&](RowId row) {
+      if (ApplyColActions(p.actions, p.rel->View(row), binding_.data())) {
+        Join<kStaged>(i + 1);
       }
-      Join<kStaged>(i + 1);
-    };
-
-    const Relation& rel = *p.rel;
-    if (p.probe_col >= 0) {
-      const Value key =
-          p.probe_is_const ? p.probe_const : binding_[p.probe_var];
-      const storage::RowCursor bucket =
-          rel.Probe(static_cast<size_t>(p.probe_col), key);
-      p.probe_stats->point_probes++;
-      p.probe_stats->point_hits += !bucket.empty();
-      for (RowId row : bucket) {
-        match(rel.View(row));
-      }
-    } else {
-      if (p.range_stats != nullptr) {
-        const ResolvedRange range = ResolveRange(atom, binding_.data());
-        std::vector<RowId>& rows = range_scratch_[i];
-        if (TryRangeProbe(rel, static_cast<size_t>(atom.range_col), range,
-                          p.range_stats, &rows)) {
-          // The residual comparison builtins still run behind the probe,
-          // so any declined/degraded case below is just the scan path.
-          for (RowId row : rows) {
-            match(rel.View(row));
-          }
-          return;
-        }
-      }
-      for (RowId row = 0, n = rel.NumRows(); row < n; ++row) {
-        match(rel.View(row));
-      }
-    }
+    });
   }
 
   /// The shard workers' outer loop: drives plan_[0] (a positive
@@ -343,169 +133,40 @@ class SubqueryRun {
   /// loop's codegen stays exactly as it was before parallel evaluation
   /// existed.
   void JoinOuterWindow(size_t begin, size_t end) {
-    const AtomPlan& p = plan_[0];
-    const Relation& rel = *p.rel;
-
-    auto match = [&](TupleView t) {
-      for (const TermAction& action : p.actions) {
-        const Value v = t[action.col];
-        switch (action.kind) {
-          case TermAction::Kind::kCheckConst:
-            if (v != action.constant) return;
-            break;
-          case TermAction::Kind::kCheckVar:
-            if (v != binding_[action.var]) return;
-            break;
-          case TermAction::Kind::kBind:
-            binding_[action.var] = v;
-            break;
-        }
+    const AtomAccess& p = plan_[0];
+    const AtomRows rows =
+        OpenRows(p, binding_.data(), p.stats, &range_scratch_[0]);
+    rows.ForEach(begin, end, [&](RowId row) {
+      if (ApplyColActions(p.actions, p.rel->View(row), binding_.data())) {
+        Join<true>(1);
       }
-      Join<true>(1);
-    };
-
-    if (p.probe_col >= 0) {
-      // No variable is bound before atom 0, so the probe key is a const.
-      const storage::RowCursor bucket =
-          rel.Probe(static_cast<size_t>(p.probe_col), p.probe_const);
-      p.probe_stats->point_probes++;
-      p.probe_stats->point_hits += !bucket.empty();
-      const size_t limit = std::min(end, bucket.size());
-      for (size_t pos = std::min(begin, limit); pos < limit; ++pos) {
-        match(rel.View(bucket[pos]));
-      }
-    } else {
-      if (p.range_stats != nullptr) {
-        // Atom-0 bounds are const-only (no variable binds before it), so
-        // every shard resolves the identical row list — positions index
-        // the same sequence RunSharded sized the shards against.
-        const ResolvedRange range = ResolveRange(*p.atom, binding_.data());
-        std::vector<RowId>& rows = range_scratch_[0];
-        if (TryRangeProbe(rel, static_cast<size_t>(p.atom->range_col), range,
-                          p.range_stats, &rows)) {
-          const size_t limit = std::min(end, rows.size());
-          for (size_t pos = std::min(begin, limit); pos < limit; ++pos) {
-            match(rel.View(rows[pos]));
-          }
-          return;
-        }
-      }
-      const size_t limit = std::min(end, static_cast<size_t>(rel.NumRows()));
-      for (size_t row = std::min(begin, limit); row < limit; ++row) {
-        match(rel.View(static_cast<RowId>(row)));
-      }
-    }
-  }
-
-  /// True when the first two plan entries form an index nested-loop join
-  /// whose inner probe key comes from the outer row — the shape the
-  /// batched-cursor path accelerates. Builtins, negation and const-key
-  /// probes (loop-invariant lookups) keep the classic path.
-  bool BatchEligible() const {
-    if (plan_.size() < 2) return false;
-    const AtomPlan& outer = plan_[0];
-    const AtomPlan& inner = plan_[1];
-    if (outer.rel == nullptr || outer.atom->negated) return false;
-    if (inner.rel == nullptr || inner.atom->negated) return false;
-    return inner.probe_col >= 0 && !inner.probe_is_const;
-  }
-
-  /// Applies one atom's column actions to `t`: false on a failed check,
-  /// true with all binds applied otherwise. (The same loop Join<> runs
-  /// inline; shared here by the two batched passes.)
-  bool ApplyActions(const AtomPlan& p, TupleView t) {
-    for (const TermAction& action : p.actions) {
-      const Value v = t[action.col];
-      switch (action.kind) {
-        case TermAction::Kind::kCheckConst:
-          if (v != action.constant) return false;
-          break;
-        case TermAction::Kind::kCheckVar:
-          if (v != binding_[action.var]) return false;
-          break;
-        case TermAction::Kind::kBind:
-          binding_[action.var] = v;
-          break;
-      }
-    }
-    return true;
+    });
   }
 
   /// Batch-at-a-time outer loop over positions [begin, end) of atom 0's
-  /// row sequence. Two passes per window: pass 1 applies atom-0 actions
-  /// per outer row and collects the surviving rows' inner probe keys;
-  /// one BatchProbe resolves the whole window (amortizing dispatch,
-  /// skipping equal-adjacent keys); pass 2 re-applies atom-0 binds per
-  /// surviving row (checks already passed — binds are cheap) and joins
-  /// atom 1 from the pre-resolved cursor, recursing into Join<>(2). The
-  /// emission order is exactly the classic nested loop's, so DeltaNew
-  /// stays byte-identical whether batching is on or off, single-threaded
-  /// or sharded. Deliberately a separate entry point: Join<>(0)'s
-  /// codegen is fragile under GCC 12 and stays untouched.
+  /// row sequence (a BatchJoinable plan): each ProbeWindow applies atom-0
+  /// actions to a window of outer rows and resolves the survivors' inner
+  /// probe keys in one BatchProbe; then, per surviving row, atom-0 binds
+  /// are restored and atom 1 joins from the pre-resolved cursor,
+  /// recursing into Join<>(2). The emission order is exactly the classic
+  /// nested loop's, so DeltaNew stays byte-identical single-threaded or
+  /// sharded. Deliberately a separate entry point: Join<>(0)'s codegen is
+  /// fragile under GCC 12 and stays untouched.
   template <bool kStaged>
   void JoinBatchedWindow(size_t begin, size_t end) {
-    const AtomPlan& outer = plan_[0];
-    const AtomPlan& inner = plan_[1];
-    const Relation& outer_rel = *outer.rel;
-    const Relation& inner_rel = *inner.rel;
-    const size_t inner_col = static_cast<size_t>(inner.probe_col);
-    const size_t window = ctx_.probe_batch_window();
-
-    storage::RowCursor outer_bucket;
-    const std::vector<RowId>* outer_range = nullptr;
-    size_t limit;
-    if (outer.probe_col >= 0) {
-      // No variable is bound before atom 0: the key is a const.
-      outer_bucket = outer_rel.Probe(static_cast<size_t>(outer.probe_col),
-                                     outer.probe_const);
-      outer.probe_stats->point_probes++;
-      outer.probe_stats->point_hits += !outer_bucket.empty();
-      limit = std::min(end, outer_bucket.size());
-    } else if (outer.range_stats != nullptr &&
-               TryRangeProbe(outer_rel,
-                             static_cast<size_t>(outer.atom->range_col),
-                             ResolveRange(*outer.atom, binding_.data()),
-                             outer.range_stats, &range_scratch_[0])) {
-      // Const-only bounds (see JoinOuterWindow): the row list is the
-      // same for every shard.
-      outer_range = &range_scratch_[0];
-      limit = std::min(end, outer_range->size());
-    } else {
-      limit = std::min(end, static_cast<size_t>(outer_rel.NumRows()));
-    }
-
-    batch_rows_.clear();
-    batch_keys_.clear();
-    if (batch_cursors_.size() < window) batch_cursors_.resize(window);
-
+    const AtomAccess& outer = plan_[0];
+    const AtomAccess& inner = plan_[1];
+    const AtomRows rows =
+        OpenRows(outer, binding_.data(), outer.stats, &range_scratch_[0]);
+    const size_t limit = std::min(end, rows.size);
     for (size_t pos = std::min(begin, limit); pos < limit;) {
-      const size_t chunk_end = std::min(pos + window, limit);
-      batch_rows_.clear();
-      batch_keys_.clear();
-      for (; pos < chunk_end; ++pos) {
-        const RowId row = outer.probe_col >= 0 ? outer_bucket[pos]
-                          : outer_range != nullptr
-                              ? (*outer_range)[pos]
-                              : static_cast<RowId>(pos);
-        if (!ApplyActions(outer, outer_rel.View(row))) continue;
-        batch_rows_.push_back(row);
-        batch_keys_.push_back(binding_[inner.probe_var]);
-      }
-      if (batch_rows_.empty()) continue;
-      inner_rel.BatchProbe(inner_col, batch_keys_.data(),
-                           batch_rows_.size(), batch_cursors_.data());
-      inner.probe_stats->batch_windows++;
-      inner.probe_stats->point_probes += batch_rows_.size();
-      for (size_t k = 0; k < batch_rows_.size(); ++k) {
-        inner.probe_stats->point_hits += !batch_cursors_[k].empty();
-        const TupleView t = outer_rel.View(batch_rows_[k]);
-        for (const TermAction& action : outer.actions) {
-          if (action.kind == TermAction::Kind::kBind) {
-            binding_[action.var] = t[action.col];
-          }
-        }
-        batch_cursors_[k].ForEach([&](RowId inner_row) {
-          if (ApplyActions(inner, inner_rel.View(inner_row))) {
+      const size_t kept =
+          window_.Fill(outer, rows, &pos, limit, inner, binding_.data());
+      for (size_t k = 0; k < kept; ++k) {
+        window_.RestoreOuter(outer, k, binding_.data());
+        window_.cursor(k).ForEach([&](RowId inner_row) {
+          if (ApplyColActions(inner.actions, inner.rel->View(inner_row),
+                              binding_.data())) {
             Join<kStaged>(2);
           }
         });
@@ -599,7 +260,7 @@ class SubqueryRun {
   // Destination for probe counters: the context's profiler on the
   // single-threaded path, the worker's shard profiler when sharded.
   AccessProfiler* profiler_;
-  std::vector<AtomPlan> plan_;
+  std::vector<AtomAccess> plan_;
   std::vector<Value> binding_;
   Tuple scratch_;
   // Aggregation state: distinct (group key, witness) pairs.
@@ -609,10 +270,8 @@ class SubqueryRun {
   // stats). Null/unused on the single-threaded path.
   storage::StagingBuffer* staging_ = nullptr;
   uint64_t staged_considered_ = 0;
-  // Batched-probe window scratch (JoinBatchedWindow), reused per chunk.
-  std::vector<RowId> batch_rows_;
-  std::vector<Value> batch_keys_;
-  std::vector<storage::RowCursor> batch_cursors_;
+  // Batched-probe window scratch (JoinBatchedWindow), reused per window.
+  ProbeWindow window_;
   // Range-probe row lists, one per plan depth (Join recurses; see
   // BuildPlan).
   std::vector<std::vector<RowId>> range_scratch_;

@@ -4,94 +4,19 @@
 #include <memory>
 #include <vector>
 
-#include "datalog/builtins.h"
-#include "ir/range_access.h"
+#include "ir/atom_access.h"
 #include "util/status.h"
 
 namespace carac::ir {
 
 namespace {
 
-using datalog::BuiltinBindsOutput;
 using storage::Relation;
 using storage::RowCursor;
 using storage::RowId;
 using storage::Tuple;
 using storage::TupleView;
 using storage::Value;
-
-/// Per-column behaviour of a relational atom, precomputed at
-/// pipeline-build time so the per-row match loop allocates nothing. A
-/// variable's first occurrence within the atom binds; later occurrences
-/// check (R(x, x) filters on its 2nd column). Shared by ScanSource and
-/// the fused BatchedJoinSource.
-struct ColAction {
-  enum class Kind : uint8_t { kCheckConst, kCheckVar, kBind };
-  Kind kind = Kind::kBind;
-  uint32_t col = 0;
-  Value constant = 0;
-  LocalVar var = -1;
-};
-
-/// Builds the action list for `atom`, updating `bound` with the
-/// variables the atom binds.
-std::vector<ColAction> BuildColActions(const AtomSpec& atom,
-                                       std::vector<bool>& bound) {
-  std::vector<ColAction> actions;
-  actions.reserve(atom.terms.size());
-  for (size_t col = 0; col < atom.terms.size(); ++col) {
-    const LocalTerm& t = atom.terms[col];
-    ColAction action;
-    action.col = static_cast<uint32_t>(col);
-    if (!t.is_var) {
-      action.kind = ColAction::Kind::kCheckConst;
-      action.constant = t.constant;
-    } else if (bound[t.var]) {
-      action.kind = ColAction::Kind::kCheckVar;
-      action.var = t.var;
-    } else {
-      action.kind = ColAction::Kind::kBind;
-      action.var = t.var;
-      bound[t.var] = true;
-    }
-    actions.push_back(action);
-  }
-  return actions;
-}
-
-/// Applies `actions` to `row`: false on a failed check, true with all
-/// binds applied otherwise.
-inline bool ApplyColActions(const std::vector<ColAction>& actions,
-                            TupleView row, std::vector<Value>& binding) {
-  for (const ColAction& action : actions) {
-    const Value v = row[action.col];
-    switch (action.kind) {
-      case ColAction::Kind::kCheckConst:
-        if (v != action.constant) return false;
-        break;
-      case ColAction::Kind::kCheckVar:
-        if (v != binding[action.var]) return false;
-        break;
-      case ColAction::Kind::kBind:
-        binding[action.var] = v;
-        break;
-    }
-  }
-  return true;
-}
-
-/// The access path ScanSource (and the fused source) picks for an atom:
-/// the first index-supported column whose probe key is known from the
-/// outer binding before the atom runs, or -1 to scan.
-int32_t PickProbeCol(const Relation& rel, const AtomSpec& atom,
-                     const std::vector<bool>& bound_before) {
-  for (size_t col = 0; col < atom.terms.size(); ++col) {
-    const LocalTerm& t = atom.terms[col];
-    const bool pre_bound = !t.is_var || bound_before[t.var];
-    if (pre_bound && rel.HasIndex(col)) return static_cast<int32_t>(col);
-  }
-  return -1;
-}
 
 /// One Volcano operator: Reset() re-opens it under the current binding
 /// (outer rows are visible through the shared binding array), Next()
@@ -104,135 +29,48 @@ class RowSource {
 
   /// Parallel evaluation, meaningful only for the pipeline's outer
   /// stage: restricts the source to positions [begin, end) of its row
-  /// sequence (bucket positions when probing, RowIds when scanning). The
-  /// defaults cover the whole sequence; inner-only sources ignore it.
+  /// sequence (see AtomRows). The default covers the whole sequence;
+  /// inner-only sources ignore it.
   virtual void RestrictOuter(size_t begin, size_t end) {
     (void)begin;
     (void)end;
-  }
-
-  /// Length of the row sequence this source iterates under `binding`,
-  /// taken from the same access path Reset() will choose. The sharder
-  /// sizes its outer windows with this so it can never disagree with
-  /// what the workers actually scan. Sources that can never lead a
-  /// pipeline report 0.
-  virtual size_t SequenceSize(const std::vector<Value>& binding) const {
-    (void)binding;
-    return 0;
   }
 };
 
 /// Scan / index-probe leaf for one positive relational atom.
 class ScanSource : public RowSource {
  public:
-  ScanSource(const Relation* rel, const AtomSpec* atom,
-             const std::vector<bool>& bound_before,
-             AccessProfiler* profiler)
-      : rel_(rel), atom_(atom) {
-    std::vector<bool> bound = bound_before;
-    actions_ = BuildColActions(*atom, bound);
-    probe_col_ = PickProbeCol(*rel, *atom, bound_before);
-    if (probe_col_ >= 0) {
-      probe_stats_ = profiler->Slot(atom->predicate,
-                                    static_cast<size_t>(probe_col_));
-    } else if (atom->has_range() &&
-               rel->HasIndex(static_cast<size_t>(atom->range_col))) {
-      // Range pushdown candidate (a point probe always wins): Reset()
-      // resolves the bounds and may serve the scan via TryRangeProbe.
-      range_stats_ = profiler->Slot(atom->predicate,
-                                    static_cast<size_t>(atom->range_col));
-    }
-  }
+  explicit ScanSource(const AtomAccess* access) : access_(access) {}
 
   void RestrictOuter(size_t begin, size_t end) override {
     outer_begin_ = begin;
     outer_end_ = end;
   }
 
-  size_t SequenceSize(const std::vector<Value>& binding) const override {
-    if (probe_col_ >= 0) {
-      const LocalTerm& key = atom_->terms[probe_col_];
-      return rel_
-          ->Probe(static_cast<size_t>(probe_col_),
-                  key.is_var ? binding[key.var] : key.constant)
-          .size();
-    }
-    if (range_stats_ != nullptr) {
-      // Mirror Reset()'s access path (same bounds, same index state →
-      // same decision) without recording stats: the sizing pass must not
-      // double-count the probes the shard workers will take.
-      std::vector<RowId> rows;
-      if (TryRangeProbe(*rel_, static_cast<size_t>(atom_->range_col),
-                        ResolveRange(*atom_, binding.data()), nullptr,
-                        &rows)) {
-        return rows.size();
-      }
-    }
-    return rel_->NumRows();
-  }
-
   void Reset(std::vector<Value>& binding) override {
     // The position window is clamped here, once per re-open, so Next()'s
     // per-row bound check costs exactly what it did before parallel
     // evaluation existed.
-    if (probe_col_ >= 0) {
-      const LocalTerm& key = atom_->terms[probe_col_];
-      bucket_ = rel_->Probe(static_cast<size_t>(probe_col_),
-                            key.is_var ? binding[key.var] : key.constant);
-      probe_stats_->point_probes++;
-      probe_stats_->point_hits += !bucket_.empty();
-      use_bucket_ = true;
-    } else if (range_stats_ != nullptr &&
-               TryRangeProbe(*rel_, static_cast<size_t>(atom_->range_col),
-                             ResolveRange(*atom_, binding.data()),
-                             range_stats_, &range_rows_)) {
-      // Declined probes fall through to the scan; the residual builtin
-      // stages behind this one keep the result identical either way.
-      bucket_ = RowCursor(range_rows_.data(), range_rows_.size());
-      use_bucket_ = true;
-    } else {
-      use_bucket_ = false;
-    }
-    if (use_bucket_) {
-      bucket_limit_ = std::min(outer_end_, bucket_.size());
-      bucket_pos_ = std::min(outer_begin_, bucket_limit_);
-    } else {
-      const size_t num_rows = rel_->NumRows();
-      row_limit_ = static_cast<RowId>(std::min(outer_end_, num_rows));
-      row_ = static_cast<RowId>(std::min(outer_begin_,
-                                         static_cast<size_t>(row_limit_)));
-    }
+    rows_ = OpenRows(*access_, binding.data(), access_->stats, &range_rows_);
+    limit_ = std::min(outer_end_, rows_.size);
+    pos_ = std::min(outer_begin_, limit_);
   }
 
   bool Next(std::vector<Value>& binding) override {
-    for (;;) {
-      TupleView row;
-      if (use_bucket_) {
-        if (bucket_pos_ >= bucket_limit_) return false;
-        row = rel_->View(bucket_[bucket_pos_++]);
-      } else {
-        if (row_ >= row_limit_) return false;
-        row = rel_->View(row_++);
-      }
-      if (ApplyColActions(actions_, row, binding)) return true;
+    while (pos_ < limit_) {
+      const TupleView row = access_->rel->View(rows_[pos_++]);
+      if (ApplyColActions(access_->actions, row, binding.data())) return true;
     }
+    return false;
   }
 
  private:
-  const Relation* rel_;
-  const AtomSpec* atom_;
-  std::vector<ColAction> actions_;
-  int32_t probe_col_ = -1;
-  ColumnProbeStats* probe_stats_ = nullptr;  // Non-null iff probe_col_ >= 0.
-  ColumnProbeStats* range_stats_ = nullptr;  // Range candidate (see ctor).
-  std::vector<RowId> range_rows_;  // Owns the rows bucket_ wraps on the
+  const AtomAccess* access_;
+  std::vector<RowId> range_rows_;  // Owns the rows rows_ wraps on the
                                    // range path.
-  bool use_bucket_ = false;
-  RowCursor bucket_;
-  size_t bucket_pos_ = 0;
-  size_t bucket_limit_ = 0;
-  RowId row_ = 0;
-  RowId row_limit_ = 0;
+  AtomRows rows_;
+  size_t pos_ = 0;
+  size_t limit_ = 0;
   size_t outer_begin_ = 0;
   size_t outer_end_ = static_cast<size_t>(-1);
 };
@@ -240,152 +78,61 @@ class ScanSource : public RowSource {
 /// Builtin atom: a zero-or-one-row source (filter, or arithmetic binder).
 class BuiltinSource : public RowSource {
  public:
-  BuiltinSource(const AtomSpec* atom, bool out_was_bound)
-      : atom_(atom), out_was_bound_(out_was_bound) {}
+  explicit BuiltinSource(const AtomAccess* access) : access_(access) {}
 
   void Reset(std::vector<Value>& /*binding*/) override { produced_ = false; }
 
   bool Next(std::vector<Value>& binding) override {
     if (produced_) return false;
     produced_ = true;
-    auto term_value = [&](const LocalTerm& t) {
-      return t.is_var ? binding[t.var] : t.constant;
-    };
-    const Value x = term_value(atom_->terms[0]);
-    const Value y = term_value(atom_->terms[1]);
-    if (!BuiltinBindsOutput(atom_->builtin)) {
-      return datalog::EvalComparison(atom_->builtin, x, y);
-    }
-    Value z;
-    if (!datalog::EvalArithmetic(atom_->builtin, x, y, &z)) return false;
-    const LocalTerm& out = atom_->terms[2];
-    if (!out.is_var) return out.constant == z;
-    if (out_was_bound_) return binding[out.var] == z;
-    binding[out.var] = z;
-    return true;
+    return ApplyBuiltin(*access_, binding.data());
   }
 
  private:
-  const AtomSpec* atom_;
-  bool out_was_bound_;
+  const AtomAccess* access_;
   bool produced_ = false;
 };
 
 /// Negated atom: antijoin membership test (zero-or-one empty row).
 class NegationSource : public RowSource {
  public:
-  NegationSource(const Relation* rel, const AtomSpec* atom)
-      : rel_(rel), atom_(atom) {}
+  explicit NegationSource(const AtomAccess* access) : access_(access) {}
 
   void Reset(std::vector<Value>& /*binding*/) override { produced_ = false; }
 
   bool Next(std::vector<Value>& binding) override {
     if (produced_) return false;
     produced_ = true;
-    scratch_.clear();
-    for (const LocalTerm& t : atom_->terms) {
-      scratch_.push_back(t.is_var ? binding[t.var] : t.constant);
-    }
-    return !rel_->Contains(scratch_);
+    return NegationHolds(*access_, binding.data(), &scratch_);
   }
 
  private:
-  const Relation* rel_;
-  const AtomSpec* atom_;
+  const AtomAccess* access_;
   Tuple scratch_;
   bool produced_ = false;
 };
 
-/// Fused outer-scan + batched inner-probe over the pipeline's first two
-/// atoms (the shape RunSubqueryPull fuses when the second atom probes on
-/// a variable the first binds). Matching outer rows are windowed, their
-/// probe keys resolved in one BatchProbe per window, and inner matches
-/// yielded one per Next() — the emission sequence is exactly what the
-/// two unfused stages would produce, so results stay byte-identical
-/// with batching on or off.
+/// Fused outer-scan + batched inner-probe over a BatchJoinable plan's
+/// first two atoms. Each ProbeWindow resolves a window of matching outer
+/// rows' probe keys in one BatchProbe; inner matches are yielded one per
+/// Next() — the emission sequence is exactly what the two unfused stages
+/// would produce, so results stay byte-identical.
 class BatchedJoinSource final : public RowSource {
  public:
-  BatchedJoinSource(const Relation* outer_rel, const AtomSpec* outer_atom,
-                    const Relation* inner_rel, const AtomSpec* inner_atom,
-                    std::vector<bool>& bound, size_t window,
-                    AccessProfiler* profiler)
-      : outer_rel_(outer_rel), outer_atom_(outer_atom),
-        inner_rel_(inner_rel), window_(window) {
-    const std::vector<bool> bound_before_outer = bound;
-    outer_actions_ = BuildColActions(*outer_atom, bound);
-    outer_probe_col_ = PickProbeCol(*outer_rel, *outer_atom,
-                                    bound_before_outer);
-    if (outer_probe_col_ >= 0) {
-      // Nothing is bound before the first atom, so the key is a const.
-      outer_probe_const_ = outer_atom->terms[outer_probe_col_].constant;
-      outer_probe_stats_ = profiler->Slot(
-          outer_atom->predicate, static_cast<size_t>(outer_probe_col_));
-    } else if (outer_atom->has_range() &&
-               outer_rel->HasIndex(
-                   static_cast<size_t>(outer_atom->range_col))) {
-      outer_range_stats_ = profiler->Slot(
-          outer_atom->predicate, static_cast<size_t>(outer_atom->range_col));
-    }
-    const std::vector<bool> bound_before_inner = bound;
-    inner_actions_ = BuildColActions(*inner_atom, bound);
-    inner_probe_col_ = PickProbeCol(*inner_rel, *inner_atom,
-                                    bound_before_inner);
-    CARAC_CHECK(inner_probe_col_ >= 0);
-    inner_probe_stats_ = profiler->Slot(
-        inner_atom->predicate, static_cast<size_t>(inner_probe_col_));
-    const LocalTerm& key = inner_atom->terms[inner_probe_col_];
-    CARAC_CHECK(key.is_var);  // CanFuse gates on a variable key.
-    inner_probe_var_ = key.var;
-  }
+  BatchedJoinSource(const AtomAccess* outer, const AtomAccess* inner)
+      : outer_(outer), inner_(inner) {}
 
   void RestrictOuter(size_t begin, size_t end) override {
     outer_begin_ = begin;
     outer_end_ = end;
   }
 
-  size_t SequenceSize(const std::vector<Value>& binding) const override {
-    if (outer_probe_col_ >= 0) {
-      return outer_rel_
-          ->Probe(static_cast<size_t>(outer_probe_col_), outer_probe_const_)
-          .size();
-    }
-    if (outer_range_stats_ != nullptr) {
-      // Stats-free mirror of Reset()'s decision, like ScanSource's.
-      std::vector<RowId> rows;
-      if (TryRangeProbe(*outer_rel_,
-                        static_cast<size_t>(outer_atom_->range_col),
-                        ResolveRange(*outer_atom_, binding.data()), nullptr,
-                        &rows)) {
-        return rows.size();
-      }
-    }
-    return outer_rel_->NumRows();
-  }
-
   void Reset(std::vector<Value>& binding) override {
-    outer_range_active_ = false;
-    if (outer_probe_col_ >= 0) {
-      outer_bucket_ = outer_rel_->Probe(
-          static_cast<size_t>(outer_probe_col_), outer_probe_const_);
-      outer_probe_stats_->point_probes++;
-      outer_probe_stats_->point_hits += !outer_bucket_.empty();
-      limit_ = std::min(outer_end_, outer_bucket_.size());
-    } else if (outer_range_stats_ != nullptr &&
-               TryRangeProbe(*outer_rel_,
-                             static_cast<size_t>(outer_atom_->range_col),
-                             ResolveRange(*outer_atom_, binding.data()),
-                             outer_range_stats_, &outer_range_rows_)) {
-      // Const-only bounds (nothing binds before the first atom), so every
-      // shard resolves the identical row list.
-      outer_range_active_ = true;
-      limit_ = std::min(outer_end_, outer_range_rows_.size());
-    } else {
-      limit_ = std::min(outer_end_,
-                        static_cast<size_t>(outer_rel_->NumRows()));
-    }
+    rows_ = OpenRows(*outer_, binding.data(), outer_->stats, &range_rows_);
+    limit_ = std::min(outer_end_, rows_.size);
     pos_ = std::min(outer_begin_, limit_);
-    batch_rows_.clear();
-    batch_idx_ = 0;
+    kept_ = 0;
+    kept_idx_ = 0;
     cursor_ = RowCursor();
     cursor_pos_ = 0;
   }
@@ -395,152 +142,76 @@ class BatchedJoinSource final : public RowSource {
       // Drain the current outer row's pre-resolved inner cursor.
       while (cursor_pos_ < cursor_.size()) {
         const RowId inner_row = cursor_[cursor_pos_++];
-        if (ApplyColActions(inner_actions_, inner_rel_->View(inner_row),
-                            binding)) {
+        if (ApplyColActions(inner_->actions, inner_->rel->View(inner_row),
+                            binding.data())) {
           return true;
         }
       }
-      // Advance to the next matched outer row of the window, restoring
-      // its binds (its checks passed during the fill pass).
-      if (batch_idx_ < batch_rows_.size()) {
-        const TupleView t = outer_rel_->View(batch_rows_[batch_idx_]);
-        for (const ColAction& action : outer_actions_) {
-          if (action.kind == ColAction::Kind::kBind) {
-            binding[action.var] = t[action.col];
-          }
-        }
-        cursor_ = batch_cursors_[batch_idx_];
+      // Advance to the next kept outer row of the window.
+      if (kept_idx_ < kept_) {
+        window_.RestoreOuter(*outer_, kept_idx_, binding.data());
+        cursor_ = window_.cursor(kept_idx_);
         cursor_pos_ = 0;
-        ++batch_idx_;
+        ++kept_idx_;
         continue;
       }
-      // Refill: window the next run of outer positions, collect the
-      // matching rows' probe keys, resolve them in one BatchProbe.
       if (pos_ >= limit_) return false;
-      batch_rows_.clear();
-      batch_keys_.clear();
-      batch_idx_ = 0;
-      const size_t chunk_end = std::min(pos_ + window_, limit_);
-      for (; pos_ < chunk_end; ++pos_) {
-        const RowId row = outer_probe_col_ >= 0 ? outer_bucket_[pos_]
-                          : outer_range_active_
-                              ? outer_range_rows_[pos_]
-                              : static_cast<RowId>(pos_);
-        if (!ApplyColActions(outer_actions_, outer_rel_->View(row),
-                             binding)) {
-          continue;
-        }
-        batch_rows_.push_back(row);
-        batch_keys_.push_back(binding[inner_probe_var_]);
-      }
-      if (batch_rows_.empty()) continue;
-      if (batch_cursors_.size() < window_) batch_cursors_.resize(window_);
-      inner_rel_->BatchProbe(static_cast<size_t>(inner_probe_col_),
-                             batch_keys_.data(), batch_rows_.size(),
-                             batch_cursors_.data());
-      inner_probe_stats_->batch_windows++;
-      inner_probe_stats_->point_probes += batch_rows_.size();
-      for (size_t k = 0; k < batch_rows_.size(); ++k) {
-        inner_probe_stats_->point_hits += !batch_cursors_[k].empty();
-      }
+      kept_ = window_.Fill(*outer_, rows_, &pos_, limit_, *inner_,
+                           binding.data());
+      kept_idx_ = 0;
     }
   }
 
  private:
-  const Relation* outer_rel_;
-  const AtomSpec* outer_atom_;
-  const Relation* inner_rel_;
-  std::vector<ColAction> outer_actions_;
-  std::vector<ColAction> inner_actions_;
-  int32_t outer_probe_col_ = -1;
-  Value outer_probe_const_ = 0;
-  ColumnProbeStats* outer_probe_stats_ = nullptr;
-  ColumnProbeStats* outer_range_stats_ = nullptr;
-  std::vector<RowId> outer_range_rows_;
-  bool outer_range_active_ = false;
-  int32_t inner_probe_col_ = -1;
-  ColumnProbeStats* inner_probe_stats_ = nullptr;
-  LocalVar inner_probe_var_ = -1;
-  size_t window_;
+  const AtomAccess* outer_;
+  const AtomAccess* inner_;
   size_t outer_begin_ = 0;
   size_t outer_end_ = static_cast<size_t>(-1);
   // Iteration state.
-  RowCursor outer_bucket_;
+  std::vector<RowId> range_rows_;
+  AtomRows rows_;
   size_t pos_ = 0;
   size_t limit_ = 0;
-  std::vector<RowId> batch_rows_;
-  std::vector<Value> batch_keys_;
-  std::vector<RowCursor> batch_cursors_;
-  size_t batch_idx_ = 0;
+  ProbeWindow window_;
+  size_t kept_ = 0;
+  size_t kept_idx_ = 0;
   RowCursor cursor_;
   size_t cursor_pos_ = 0;
 };
 
-/// True when atoms[0] and atoms[1] form the fusable index-join shape:
-/// both positive relational, and the access path ScanSource would pick
-/// for atom 1 probes on a variable (necessarily bound by atom 0 — the
-/// pipeline's first atom binds everything that is bound before the
-/// second). Const-key probes are loop-invariant lookups and keep the
-/// classic path.
-bool CanFuse(ExecContext& ctx, const IROp& op) {
-  if (ctx.probe_batch_window() == 0 || op.atoms.size() < 2) return false;
-  const AtomSpec& a0 = op.atoms[0];
-  const AtomSpec& a1 = op.atoms[1];
-  if (a0.is_builtin() || a0.negated) return false;
-  if (a1.is_builtin() || a1.negated) return false;
-  std::vector<bool> bound(op.num_locals, false);
-  for (const LocalTerm& t : a0.terms) {
-    if (t.is_var) bound[t.var] = true;
-  }
-  const Relation& rel1 = ctx.db().Get(a1.predicate, a1.source);
-  const int32_t probe_col = PickProbeCol(rel1, a1, bound);
-  return probe_col >= 0 && a1.terms[probe_col].is_var;
-}
+/// A subquery's compiled body plus the iterator stages that run it; the
+/// stages point into `plan`.
+struct Pipeline {
+  std::vector<AtomAccess> plan;
+  std::vector<std::unique_ptr<RowSource>> stages;
+};
 
-/// Builds the iterator pipeline, tracking static boundness per stage.
-/// When the leading two atoms are fusable and batching is enabled, they
+/// Builds the iterator pipeline. A BatchJoinable plan's leading two atoms
 /// become one BatchedJoinSource. Probe counters go to `profiler` — the
 /// context's own on the single-threaded path, a worker-private one when
 /// the pipeline runs inside a shard.
-std::vector<std::unique_ptr<RowSource>> BuildPipeline(
-    ExecContext& ctx, const IROp& op, AccessProfiler* profiler) {
-  std::vector<std::unique_ptr<RowSource>> pipeline;
-  pipeline.reserve(op.atoms.size());
-  std::vector<bool> bound(op.num_locals, false);
+Pipeline BuildPipeline(ExecContext& ctx, const IROp& op,
+                       AccessProfiler* profiler) {
+  Pipeline p;
+  p.plan = CompileAtoms(ctx.db(), op, profiler);
+  p.stages.reserve(p.plan.size());
   size_t start = 0;
-  if (CanFuse(ctx, op)) {
-    const AtomSpec& a0 = op.atoms[0];
-    const AtomSpec& a1 = op.atoms[1];
-    pipeline.push_back(std::make_unique<BatchedJoinSource>(
-        &ctx.db().Get(a0.predicate, a0.source), &a0,
-        &ctx.db().Get(a1.predicate, a1.source), &a1, bound,
-        ctx.probe_batch_window(), profiler));
+  if (BatchJoinable(p.plan)) {
+    p.stages.push_back(
+        std::make_unique<BatchedJoinSource>(&p.plan[0], &p.plan[1]));
     start = 2;
   }
-  for (size_t i = start; i < op.atoms.size(); ++i) {
-    const AtomSpec& atom = op.atoms[i];
-    if (atom.is_builtin()) {
-      const LocalTerm& out =
-          BuiltinBindsOutput(atom.builtin) ? atom.terms[2] : LocalTerm();
-      const bool out_was_bound = out.is_var && bound[out.var];
-      pipeline.push_back(
-          std::make_unique<BuiltinSource>(&atom, out_was_bound));
-      if (BuiltinBindsOutput(atom.builtin) && out.is_var) {
-        bound[out.var] = true;
-      }
-    } else if (atom.negated) {
-      pipeline.push_back(std::make_unique<NegationSource>(
-          &ctx.db().Get(atom.predicate, atom.source), &atom));
+  for (size_t i = start; i < p.plan.size(); ++i) {
+    const AtomAccess* access = &p.plan[i];
+    if (access->atom->is_builtin()) {
+      p.stages.push_back(std::make_unique<BuiltinSource>(access));
+    } else if (access->atom->negated) {
+      p.stages.push_back(std::make_unique<NegationSource>(access));
     } else {
-      pipeline.push_back(std::make_unique<ScanSource>(
-          &ctx.db().Get(atom.predicate, atom.source), &atom, bound,
-          profiler));
-      for (const LocalTerm& t : atom.terms) {
-        if (t.is_var) bound[t.var] = true;
-      }
+      p.stages.push_back(std::make_unique<ScanSource>(access));
     }
   }
-  return pipeline;
+  return p;
 }
 
 /// The Volcano get-next loop over the pipeline's cursor stack, calling
@@ -571,19 +242,16 @@ void RunVolcano(std::vector<std::unique_ptr<RowSource>>& pipeline,
 /// single-threaded insertion sequence exactly. Returns false when the
 /// subquery must (or should) run single-threaded.
 bool TryRunPullSharded(ExecContext& ctx, const IROp& op,
-                       const std::vector<std::unique_ptr<RowSource>>&
-                           pipeline) {
+                       const std::vector<AtomAccess>& plan) {
   if (ctx.worker_pool() == nullptr) return false;
-  if (op.atoms.empty()) return false;
-  const AtomSpec& outer = op.atoms[0];
-  if (outer.is_builtin() || outer.negated) return false;
-  // atoms[0] is a positive relational atom, so pipeline[0] is a
-  // ScanSource or the fused BatchedJoinSource; either way its own access
-  // path (not a re-derivation of it) sizes the shard windows through the
-  // RowSource interface. No variable is bound before stage 0, so the
-  // all-zero binding below can never be consulted for a probe key.
+  if (plan.empty() || !plan[0].atom->is_join_atom()) return false;
+  // Sized from the row sequence stage 0 opens, recording no stats (the
+  // workers count their own probes). No variable is bound before atom 0,
+  // so the all-zero binding is never consulted for a probe key.
   const std::vector<Value> binding_zero(op.num_locals, 0);
-  const size_t outer_rows = pipeline[0]->SequenceSize(binding_zero);
+  std::vector<RowId> range_rows;
+  const size_t outer_rows =
+      OpenRows(plan[0], binding_zero.data(), nullptr, &range_rows).size;
 
   const Relation& derived = ctx.db().Get(op.target, storage::DbKind::kDerived);
   const Relation& delta_new =
@@ -592,12 +260,12 @@ bool TryRunPullSharded(ExecContext& ctx, const IROp& op,
       ctx, op.target, outer_rows, op.head_terms.size(),
       [&](int shard, size_t begin, size_t end,
           storage::StagingBuffer* staging, uint64_t* considered) {
-        auto pipeline = BuildPipeline(ctx, op, ctx.ShardProfiler(shard));
-        pipeline[0]->RestrictOuter(begin, end);
+        Pipeline worker = BuildPipeline(ctx, op, ctx.ShardProfiler(shard));
+        worker.stages[0]->RestrictOuter(begin, end);
         std::vector<Value> binding(op.num_locals, 0);
         uint64_t emitted = 0;
         Tuple head;
-        RunVolcano(pipeline, binding, [&] {
+        RunVolcano(worker.stages, binding, [&] {
           ++emitted;
           head.clear();
           for (const LocalTerm& t : op.head_terms) {
@@ -618,9 +286,8 @@ void RunSubqueryPull(ExecContext& ctx, const IROp& op) {
   CARAC_CHECK(op.kind == OpKind::kSpj);
   ctx.stats().spj_executions++;
 
-  std::vector<std::unique_ptr<RowSource>> pipeline =
-      BuildPipeline(ctx, op, &ctx.profiler());
-  if (TryRunPullSharded(ctx, op, pipeline)) return;
+  Pipeline pipeline = BuildPipeline(ctx, op, &ctx.profiler());
+  if (TryRunPullSharded(ctx, op, pipeline.plan)) return;
 
   storage::DatabaseSet& db = ctx.db();
   Relation& derived = db.Get(op.target, storage::DbKind::kDerived);
@@ -638,11 +305,11 @@ void RunSubqueryPull(ExecContext& ctx, const IROp& op) {
     if (delta_new.Insert(head)) ctx.stats().tuples_inserted++;
   };
 
-  if (pipeline.empty()) {
+  if (pipeline.stages.empty()) {
     emit();
     return;
   }
-  RunVolcano(pipeline, binding, emit);
+  RunVolcano(pipeline.stages, binding, emit);
 }
 
 }  // namespace carac::ir

@@ -25,15 +25,24 @@ bool ParseIndexKind(const std::string& name, IndexKind* out) {
   return false;
 }
 
+namespace {
+
+/// Comma-separated canonical names from kIndexKindTable, restricted to
+/// the ordered kinds when `ordered_only`.
+std::string JoinKindNames(bool ordered_only) {
+  std::string s;
+  for (const IndexKindInfo& info : kIndexKindTable) {
+    if (ordered_only && !IndexKindIsOrdered(info.kind)) continue;
+    if (!s.empty()) s += ", ";
+    s += info.name;
+  }
+  return s;
+}
+
+}  // namespace
+
 const std::string& IndexKindNameList() {
-  static const std::string list = [] {
-    std::string s;
-    for (const IndexKindInfo& info : kIndexKindTable) {
-      if (!s.empty()) s += ", ";
-      s += info.name;
-    }
-    return s;
-  }();
+  static const std::string list = JoinKindNames(/*ordered_only=*/false);
   return list;
 }
 
@@ -43,8 +52,8 @@ util::Status IndexBase::RangeUnsupported() const {
   return util::Status::FailedPrecondition(
       "ProbeRange requires an ordered index, but column " +
       std::to_string(column_) + " has a " + IndexKindName(kind_) +
-      " index; declare it with an ordered kind (kSorted, kBtree, "
-      "kSortedArray or kLearned)");
+      " index; declare it with an ordered kind (" +
+      JoinKindNames(/*ordered_only=*/true) + ")");
 }
 
 util::Status IndexBase::ProbeRange(Value lo, Value hi,

@@ -130,16 +130,10 @@ expect_cli(range_pushdown_empty 2 "invalid --range-pushdown" run fibonacci
   --range-pushdown=)
 expect_cli(usage_mentions_range_pushdown 2 "--range-pushdown=")
 
-# --probe-batch-window: strict integer >= 0 (0 disables batching and must
-# still evaluate correctly).
-expect_cli(probe_window_off 0 "Fibonacci" run fibonacci --scale=2
-  --probe-batch-window=0)
-expect_cli(probe_window_garbage 2 "probe-batch-window" run fibonacci
-  --probe-batch-window=abc)
-expect_cli(probe_window_negative 2 "probe-batch-window" run fibonacci
-  --probe-batch-window=-1)
-expect_cli(probe_window_trailing 2 "probe-batch-window" run fibonacci
-  --probe-batch-window=8x)
+# The batched-probe window is a fixed engine constant, not an option: the
+# former --probe-batch-window flag is rejected like any unknown option.
+expect_cli(probe_window_removed 2 "unknown option" run fibonacci
+  --probe-batch-window=64)
 
 # Happy paths still work.
 expect_cli(list_ok 0 "fibonacci" list)

@@ -109,6 +109,12 @@ TEST(ColumnIndexTest, RangeProbeOnHashIndexFailsWithKindInMessage) {
       << status.message();
   EXPECT_NE(status.message().find("column 3"), std::string::npos)
       << status.message();
+  // The ordered kinds it suggests use the spellings users type
+  // (--index-kind, @index), not the enum identifiers.
+  EXPECT_NE(status.message().find("sorted-array"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(status.message().find("kSorted"), std::string::npos)
+      << status.message();
   EXPECT_TRUE(out.empty());
 }
 

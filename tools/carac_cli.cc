@@ -31,8 +31,6 @@
 //                          through index range probes where profitable
 //                          (default on; off forces the filtered-scan
 //                          path, results byte-identical either way)
-//   --probe-batch-window=N outer rows per batched index probe
-//                          (default 64; 0 = tuple-at-a-time probes)
 //   --pull                 pull-based relational engine (default: push)
 //   --aot[=rules]          ahead-of-time planning (facts+rules, or rules only)
 //   --scale=N              workload size multiplier (default 1)
@@ -132,16 +130,14 @@ struct Options {
   // Raw --checkpoint-every value; -1 marks "invalid" (diagnostic + exit 2).
   int64_t checkpoint_every = 0;
   std::string checkpoint_every_arg;
-  // Raw --index-kind / --probe-batch-window values; the bools mark
-  // "invalid" (diagnostic + exit 2, same contract as --scale).
+  // Raw --index-kind value; the bool marks "invalid" (diagnostic +
+  // exit 2, same contract as --scale).
   bool index_kind_invalid = false;
   std::string index_kind_arg;
   // Raw --range-pushdown value; the bool marks "invalid" (diagnostic +
   // exit 2, same contract as --index-kind).
   bool range_pushdown_invalid = false;
   std::string range_pushdown_arg;
-  int64_t probe_batch_window = 64;
-  std::string probe_batch_window_arg;
   bool snapshot_dir_empty = false;  // --snapshot-dir= with no path.
   // Server flags. listen_tcp: -1 = off, 0 = ephemeral, else the port;
   // -2 marks "invalid" (diagnostic + exit 2, same contract as --scale).
@@ -169,10 +165,9 @@ int Usage() {
                "       carac list\n"
                "options include --threads=N and --parallel-min-outer-rows=N\n"
                "(evaluation threads / parallel dispatch threshold),\n"
-               "--index-kind={%s,auto} and\n"
-               "--probe-batch-window=N (index organization / batched\n"
-               "probe window), --adaptive-indexes (self-tuning index\n"
-               "organization), --range-pushdown={on,off} (comparison\n"
+               "--index-kind={%s,auto} (index organization),\n"
+               "--adaptive-indexes (self-tuning index organization),\n"
+               "--range-pushdown={on,off} (comparison\n"
                "builtins as index range probes) and\n"
                "--snapshot-dir=DIR / --checkpoint-every=N (durable state:\n"
                "serve gains save/open commands and crash recovery);\n"
@@ -236,13 +231,6 @@ bool ParseFlag(const std::string& arg, Options* opts) {
       opts->config.index_kind = kind;
     } else {
       opts->index_kind_invalid = true;
-    }
-  } else if (const char* w = value_of("--probe-batch-window=")) {
-    opts->probe_batch_window_arg = w;
-    if (!util::ParseInt64(w, &opts->probe_batch_window) ||
-        opts->probe_batch_window < 0 ||
-        opts->probe_batch_window > std::numeric_limits<uint32_t>::max()) {
-      opts->probe_batch_window = -1;
     }
   } else if (arg == "--adaptive-indexes") {
     opts->config.adaptive_indexes = true;
@@ -567,15 +555,6 @@ int main(int argc, char** argv) {
                  opts.range_pushdown_arg.c_str());
     return 2;
   }
-  if (opts.probe_batch_window < 0) {
-    std::fprintf(stderr,
-                 "invalid --probe-batch-window=%s: expected an integer in "
-                 "[0, %llu]\n",
-                 opts.probe_batch_window_arg.c_str(),
-                 static_cast<unsigned long long>(
-                     std::numeric_limits<uint32_t>::max()));
-    return 2;
-  }
   if (opts.snapshot_dir_empty) {
     std::fprintf(stderr, "invalid --snapshot-dir=: needs a directory path\n");
     return 2;
@@ -626,8 +605,6 @@ int main(int argc, char** argv) {
                  "(nothing to listen on)\n");
     return 2;
   }
-  opts.config.probe_batch_window =
-      static_cast<uint32_t>(opts.probe_batch_window);
   opts.config.num_threads = static_cast<int>(opts.threads);
   opts.config.parallel_min_outer_rows =
       static_cast<uint32_t>(opts.parallel_min_rows);
