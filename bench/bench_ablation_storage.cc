@@ -1,7 +1,7 @@
 // Ablation: the paper's storage axis, measured two ways.
 //
 // Section 1 — engine style (push vs pull, §V-D) crossed with index
-// organization (hash vs sorted, the Soufflé-style ordered-index
+// organization (hash vs btree, the Soufflé-style ordered-index
 // extension) on the CSPA macrobenchmark.
 //
 // Section 2 — storage *layout*: the columnar arena engine
@@ -180,7 +180,7 @@ int main() {
   for (ir::EngineStyle style : {ir::EngineStyle::kPush,
                                 ir::EngineStyle::kPull}) {
     for (storage::IndexKind kind : {storage::IndexKind::kHash,
-                                    storage::IndexKind::kSorted}) {
+                                    storage::IndexKind::kBtree}) {
       core::EngineConfig config = harness::InterpretedConfig(true);
       config.engine_style = style;
       config.index_kind = kind;
@@ -196,8 +196,8 @@ int main() {
   }
   table.Print();
   std::printf("\nExpected shape: push vs pull differ only in per-row "
-              "overhead; hash probes beat\nsorted probes on point lookups "
-              "(sorted buys ordered range scans instead).\n");
+              "overhead; hash probes beat\nbtree probes on point lookups "
+              "(btree buys ordered range scans instead).\n");
 
   PrintLayoutAblation();
   return 0;

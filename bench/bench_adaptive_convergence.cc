@@ -54,9 +54,7 @@ using storage::RelationId;
 using storage::RowId;
 using storage::Value;
 
-constexpr IndexKind kStaticKinds[] = {IndexKind::kHash, IndexKind::kSorted,
-                                      IndexKind::kBtree,
-                                      IndexKind::kSortedArray,
+constexpr IndexKind kStaticKinds[] = {IndexKind::kHash, IndexKind::kBtree,
                                       IndexKind::kLearned};
 
 struct Phase {

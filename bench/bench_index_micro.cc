@@ -4,9 +4,9 @@
 // --index-kind ablation (EXPERIMENTS.md) stands on, and the direct
 // evidence for the two headline claims of the pluggable-index design:
 //
-//   range    the immutable sorted-array prefix scans a contiguous
-//            (key,row) array, versus pointer-chasing a std::map — the
-//            range-heavy win.
+//   range    the learned kind's immutable prefix scans a contiguous
+//            (key,row) array, versus walking the B-tree's leaf chain —
+//            the range-heavy win.
 //   batch    BatchProbe resolves a window of outer keys in one call and
 //            skips equal-adjacent keys entirely; on duplicate-heavy
 //            outer sequences (the shape of a skewed join) it beats the
@@ -16,7 +16,7 @@
 //            hash table outgrows cache while the learned model's segment
 //            directory plus a ±ε window stays within a few lines — where
 //            kLearned closes on (or beats) kHash and leaves the
-//            kSorted/kBtree binary searches behind.
+//            kBtree descent behind.
 //
 // Machine-readable INDEX lines feed the "index" section of
 // scripts/run_benches.sh's JSON snapshot (carac-bench/v5). `--micro`
@@ -43,8 +43,7 @@ using storage::RowCursor;
 using storage::RowId;
 using storage::Value;
 
-constexpr IndexKind kAllKinds[] = {IndexKind::kHash, IndexKind::kSorted,
-                                   IndexKind::kBtree, IndexKind::kSortedArray,
+constexpr IndexKind kAllKinds[] = {IndexKind::kHash, IndexKind::kBtree,
                                    IndexKind::kLearned};
 
 double Median(std::vector<double> v) {
@@ -69,7 +68,7 @@ Sizes GetSizes(bool micro) {
 /// One relation per kind, identical contents: keys round-robin over
 /// [0, keys), so every key has rows/keys postings and probe results are
 /// multi-row (the join shape, not a unique-key lookup). The watermark is
-/// advanced after the bulk load — the sorted-array kind measures its
+/// advanced after the bulk load — the learned kind measures its
 /// stable prefix, which is where evaluation spends its probes (body
 /// atoms read Derived/DeltaKnown, both stabilized at epoch boundaries).
 void BuildRelation(IndexKind kind, const Sizes& s, Relation* rel,

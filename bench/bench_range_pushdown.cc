@@ -40,8 +40,7 @@ using namespace carac;
 using storage::IndexKind;
 using storage::Value;
 
-constexpr IndexKind kAllKinds[] = {IndexKind::kHash, IndexKind::kSorted,
-                                   IndexKind::kBtree, IndexKind::kSortedArray,
+constexpr IndexKind kAllKinds[] = {IndexKind::kHash, IndexKind::kBtree,
                                    IndexKind::kLearned};
 
 double Median(std::vector<double> v) {

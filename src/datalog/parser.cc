@@ -310,7 +310,7 @@ class Parser {
 
   /// `@index(Rel, col, kind).` — hints the index organization for one
   /// column. `kind` is any name in storage::kIndexKindTable (hash,
-  /// sorted, btree, sorted_array, learned); the relation must already be
+  /// btree, learned); the relation must already be
   /// known so the column can be validated against its arity.
   util::Status ParsePragma() {
     if (Current().kind != Token::Kind::kIdent || Current().text != "index") {

@@ -5,6 +5,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
 #include <utility>
 
 #include "net/framing.h"
@@ -249,7 +252,11 @@ void Server::WorkerLoop(size_t worker_index) {
       const ServeOutcome outcome =
           ExecuteServeLine(ctx_, std::move(request.line), &response);
       if (outcome == ServeOutcome::kSilent) continue;
-      WriteAll(session->fd, std::move(response).Finish());
+      if (!WriteAll(session->fd, std::move(response).Finish())) {
+        // Stalled client, socket already shut down: like quit, drop the
+        // rest of its admitted requests instead of executing them.
+        session->quitting = true;
+      }
       if (outcome == ServeOutcome::kQuit) {
         session->quitting = true;
         // Half of the close handshake: the dispatcher observes the EOF
@@ -265,25 +272,45 @@ void Server::WorkerLoop(size_t worker_index) {
   }
 }
 
-void Server::WriteAll(int fd, const std::string& data) {
+bool Server::WriteAll(int fd, const std::string& data) {
+  using Clock = std::chrono::steady_clock;
   size_t offset = 0;
+  Clock::time_point last_progress = Clock::now();
   while (offset < data.size()) {
     const ssize_t n = ::send(fd, data.data() + offset, data.size() - offset,
                              MSG_NOSIGNAL);
     if (n > 0) {
       offset += static_cast<size_t>(n);
+      last_progress = Clock::now();
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      const int64_t stalled_ms =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              Clock::now() - last_progress)
+              .count();
+      if (stalled_ms >= kWriteStallLimitMs) {
+        // The client stopped reading. Waiting longer would pin this
+        // worker, every session routed to it and shutdown's drain; drop
+        // the session instead. The dispatcher sees the EOF this
+        // produces and the close-marker handshake retires it.
+        std::fprintf(stderr,
+                     "carac server: closing a session that accepted no "
+                     "response bytes for %d ms (%zu of %zu unsent)\n",
+                     kWriteStallLimitMs, data.size() - offset, data.size());
+        ::shutdown(fd, SHUT_RDWR);
+        return false;
+      }
       pollfd writable{fd, POLLOUT, 0};
-      ::poll(&writable, 1, /*timeout_ms=*/1000);
+      ::poll(&writable, 1, static_cast<int>(kWriteStallLimitMs - stalled_ms));
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
     // Dead peer (EPIPE/ECONNRESET): drop the rest of the response; the
     // dispatcher will see the EOF and retire the session.
-    return;
+    return true;
   }
+  return true;
 }
 
 }  // namespace carac::net

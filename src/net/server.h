@@ -60,7 +60,10 @@ struct ServerConfig {
 /// shutdown marker per queue. Workers finish what was admitted —
 /// responses for requests the server already read are written, then
 /// fds close. Wait() joins everything; in-flight writes complete, the
-/// engine is quiescent when it returns.
+/// engine is quiescent when it returns. A client that stops reading
+/// holds its worker (and so shutdown) for about kWriteStallLimitMs; then
+/// its socket is shut down, its other admitted requests are dropped and
+/// the session is retired.
 class Server {
  public:
   /// `ctx` must outlive the server; ServeContext::write_mutex must be
@@ -91,12 +94,19 @@ class Server {
   /// exits nonzero on it.
   bool fatal_error() const { return fatal_.load(std::memory_order_relaxed); }
 
+  /// A response write that makes no progress for this long (the client
+  /// stopped reading) shuts the session's socket down instead of
+  /// waiting on.
+  static constexpr int kWriteStallLimitMs = 5000;
+
  private:
   void DispatcherLoop();
   void WorkerLoop(size_t worker_index);
   /// Writes all of `data` to `fd`, polling out EAGAIN; gives up
-  /// silently on a dead peer (the dispatcher will see the EOF).
-  static void WriteAll(int fd, const std::string& data);
+  /// silently on a dead peer (the dispatcher will see the EOF). Returns
+  /// false only when the client stopped reading: after
+  /// kWriteStallLimitMs without progress the socket is shut down.
+  static bool WriteAll(int fd, const std::string& data);
 
   ServeContext* ctx_;
   ServerConfig config_;

@@ -7,17 +7,11 @@ storage::IndexKind AdaptiveIndexPolicy::DesiredKind(
   const double range_share =
       static_cast<double>(delta.range_probes) /
       static_cast<double>(delta.total());
-  if (range_share >= 0.5) {
-    // Range-dominated: ordered layout. A still-growing relation pays
-    // sorted-array stabilization every epoch, so it gets the B-tree's
-    // incremental inserts instead.
-    return stable ? storage::IndexKind::kSortedArray
-                  : storage::IndexKind::kBtree;
-  }
   if (range_share >= 0.1) {
-    // Mixed: an ordered kind is required for the ranges; on a stable
-    // prefix the learned model recovers most of hashing's point-probe
-    // advantage on top of it.
+    // Ranges need an ordered kind. On a stable prefix the learned model
+    // recovers most of hashing's point-probe advantage; a still-growing
+    // relation would pay its stabilization every epoch, so it gets the
+    // B-tree's incremental inserts instead.
     return stable ? storage::IndexKind::kLearned
                   : storage::IndexKind::kBtree;
   }

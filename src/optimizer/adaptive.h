@@ -40,12 +40,10 @@ struct RekindEvent {
 /// its current organization and migrates it through
 /// DatabaseSet::RedeclareIndex when the evidence says another kind wins:
 ///
-///   range-dominated (>= 50% ranges)  -> kSortedArray when the relation
-///                                       has stopped growing, else kBtree
-///                                       (incremental ordered inserts)
-///   mixed (>= 10% ranges), stable    -> kLearned (model-accelerated
-///                                       points, sorted-array ranges)
-///   point-dominated                  -> kHash
+///   >= 10% ranges  -> kLearned when the relation has stopped growing
+///                     (model-accelerated points, contiguous ranges),
+///                     else kBtree (incremental ordered inserts)
+///   otherwise      -> kHash
 ///
 /// Every kind preserves the ascending-RowId probe contract, so any
 /// re-kinding schedule leaves evaluation results byte-identical — the

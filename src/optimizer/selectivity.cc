@@ -9,9 +9,8 @@ storage::IndexKind ChooseIndexKind(const ColumnAccess& access,
   if (access.range_uses == 0 || access.point_uses > 0) {
     return storage::IndexKind::kHash;
   }
-  if (is_idb) return storage::IndexKind::kBtree;
-  return edb_rows >= kSortedArrayMinRows ? storage::IndexKind::kSortedArray
-                                         : storage::IndexKind::kSorted;
+  if (is_idb || edb_rows < kLearnedMinRows) return storage::IndexKind::kBtree;
+  return storage::IndexKind::kLearned;
 }
 
 int CountBoundConditions(const ir::AtomSpec& atom,

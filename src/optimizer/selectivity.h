@@ -12,11 +12,11 @@ namespace carac::optimizer {
 struct ColumnAccess;
 
 /// When an EDB relation is at least this large, a range-only column gets
-/// the immutable sorted-array organization instead of the ordered map:
-/// bulk-loaded facts stabilize once and then every probe is a binary
-/// search over contiguous memory. Below it the std::map's simplicity wins
-/// (the arrays' sort cost has nothing to amortize over).
-inline constexpr uint64_t kSortedArrayMinRows = 1024;
+/// the learned organization instead of the B-tree: bulk-loaded facts
+/// stabilize once and then every probe searches contiguous memory. Below
+/// it the B-tree's incremental inserts win (the sort and model fit have
+/// nothing to amortize over).
+inline constexpr uint64_t kLearnedMinRows = 1024;
 
 /// Picks the index organization for one column from its access profile
 /// (statistics.h ProfileAccessPaths), the relation's current EDB row
@@ -26,7 +26,7 @@ inline constexpr uint64_t kSortedArrayMinRows = 1024;
 /// them); only range-ONLY columns — never point-probed by any rule — get
 /// an ordered kind. IDB relations grow during the fixpoint, which favors
 /// the B-tree's incremental inserts; stable EDB relations favor the
-/// sorted array once large enough to amortize stabilization.
+/// learned kind once large enough to amortize stabilization.
 storage::IndexKind ChooseIndexKind(const ColumnAccess& access,
                                    uint64_t edb_rows, bool is_idb);
 

@@ -16,8 +16,7 @@ const char* IndexKindName(IndexKind kind) {
 
 bool ParseIndexKind(const std::string& name, IndexKind* out) {
   for (const IndexKindInfo& info : kIndexKindTable) {
-    if (name == info.name ||
-        (info.alt_name != nullptr && name == info.alt_name)) {
+    if (name == info.name) {
       *out = info.kind;
       return true;
     }
@@ -81,24 +80,6 @@ bool IndexBase::KeyBounds(Value* min, Value* max) const {
   (void)min;
   (void)max;
   return false;
-}
-
-// ---- SortedIndex ----
-
-util::Status SortedIndex::ProbeRange(Value lo, Value hi,
-                                     std::vector<RowId>* out) const {
-  for (auto it = buckets_.lower_bound(lo);
-       it != buckets_.end() && it->first <= hi; ++it) {
-    out->insert(out->end(), it->second.begin(), it->second.end());
-  }
-  return util::Status::Ok();
-}
-
-bool SortedIndex::KeyBounds(Value* min, Value* max) const {
-  if (buckets_.empty()) return false;
-  *min = buckets_.begin()->first;
-  *max = buckets_.rbegin()->first;
-  return true;
 }
 
 // ---- BtreeIndex ----
@@ -275,24 +256,10 @@ bool BtreeIndex::KeyBounds(Value* min, Value* max) const {
   return true;
 }
 
-// ---- SortedArrayIndex ----
+// ---- LearnedIndex ----
 
-RowCursor SortedArrayIndex::ProbeFast(Value value) const {
-  const auto range = std::equal_range(prefix_keys_.begin(),
-                                      prefix_keys_.end(), value);
-  const size_t begin =
-      static_cast<size_t>(range.first - prefix_keys_.begin());
-  const size_t count = static_cast<size_t>(range.second - range.first);
-  const RowId* prefix = count > 0 ? prefix_rows_.data() + begin : nullptr;
-  auto it = tail_.find(value);
-  if (it == tail_.end()) return RowCursor(prefix, count);
-  // Prefix rows are all < stable_limit_ <= every tail row, so the
-  // concatenation stays in ascending RowId order.
-  return RowCursor(prefix, count, it->second.data(), it->second.size());
-}
-
-util::Status SortedArrayIndex::ProbeRange(Value lo, Value hi,
-                                          std::vector<RowId>* out) const {
+util::Status LearnedIndex::ProbeRange(Value lo, Value hi,
+                                      std::vector<RowId>* out) const {
   // The prefix run [lo, hi] is contiguous; tail keys in range are
   // collected, sorted and merged in so the output stays in ascending
   // (key, row) order.
@@ -338,7 +305,7 @@ util::Status SortedArrayIndex::ProbeRange(Value lo, Value hi,
   return util::Status::Ok();
 }
 
-void SortedArrayIndex::Stabilize(RowId limit) {
+void LearnedIndex::Stabilize(RowId limit) {
   if (limit <= stable_limit_) return;
   std::vector<std::pair<Value, RowId>> moved;
   for (auto it = tail_.begin(); it != tail_.end();) {
@@ -382,9 +349,10 @@ void SortedArrayIndex::Stabilize(RowId limit) {
   }
   prefix_keys_ = std::move(keys);
   prefix_rows_ = std::move(rows);
+  RefitModel();
 }
 
-void SortedArrayIndex::Clear() {
+void LearnedIndex::Clear() {
   prefix_keys_.clear();
   prefix_rows_.clear();
   stable_limit_ = 0;
@@ -392,9 +360,10 @@ void SortedArrayIndex::Clear() {
   have_key_bounds_ = false;
   key_lo_ = 0;
   key_hi_ = 0;
+  segments_.clear();
+  min_key_ = 0;
+  max_key_ = 0;
 }
-
-// ---- LearnedIndex ----
 
 void LearnedIndex::RefitModel() {
   segments_.clear();
@@ -523,31 +492,14 @@ RowCursor LearnedIndex::ProbeFast(Value value) const {
   return RowCursor(prefix, count, it->second.data(), it->second.size());
 }
 
-void LearnedIndex::Stabilize(RowId limit) {
-  const size_t before = prefix_keys_.size();
-  SortedArrayIndex::Stabilize(limit);
-  if (prefix_keys_.size() != before) RefitModel();
-}
-
-void LearnedIndex::Clear() {
-  SortedArrayIndex::Clear();
-  segments_.clear();
-  min_key_ = 0;
-  max_key_ = 0;
-}
-
 // ---- Factory ----
 
 std::unique_ptr<IndexBase> MakeIndex(size_t column, IndexKind kind) {
   switch (kind) {
     case IndexKind::kHash:
       return std::make_unique<HashIndex>(column);
-    case IndexKind::kSorted:
-      return std::make_unique<SortedIndex>(column);
     case IndexKind::kBtree:
       return std::make_unique<BtreeIndex>(column);
-    case IndexKind::kSortedArray:
-      return std::make_unique<SortedArrayIndex>(column);
     case IndexKind::kLearned:
       return std::make_unique<LearnedIndex>(column);
   }

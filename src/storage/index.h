@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -18,63 +17,50 @@ namespace carac::storage {
 /// Index organization. Carac's paper implementation uses one hash map per
 /// indexed column (java.util.HashMap); Soufflé's specialized B-trees are
 /// cited as an orthogonal optimization (§VI-D), and KVell demonstrates the
-/// value of swapping index shapes behind one interface. Five kinds live
+/// value of swapping index shapes behind one interface. Three kinds live
 /// behind IndexBase:
 ///
-///   kHash        — unordered_map buckets; O(1) point probes, no ranges.
-///   kSorted      — std::map buckets; ordered range probes at a
-///                  log-factor, pointer-chasing point-probe cost.
-///   kBtree       — cache-friendly B+tree (fanout kBtreeMaxKeys, leaf
-///                  chain); ordered ranges with contiguous key arrays per
-///                  node instead of one heap node per key.
-///   kSortedArray — immutable sorted (key, row) arrays over the
-///                  epoch-stable prefix plus a small hash tail for rows
-///                  appended since the last Stabilize(); point probes are
-///                  a binary search into contiguous memory, range scans
-///                  are a single sequential sweep.
-///   kLearned     — kSortedArray's layout with a piecewise-linear model
-///                  (bounded error ε) fit over the stable prefix at
-///                  Stabilize(); point probes predict a position and
-///                  correct within ±ε instead of binary-searching the
-///                  whole prefix. Range scans and the mutable tail are
-///                  inherited unchanged.
+///   kHash    — unordered_map buckets; O(1) point probes, no ranges.
+///   kBtree   — cache-friendly B+tree (fanout kBtreeMaxKeys, leaf chain);
+///              ordered ranges with contiguous key arrays per node instead
+///              of one heap node per key.
+///   kLearned — immutable sorted (key, row) arrays over the epoch-stable
+///              prefix plus a small hash tail for rows appended since the
+///              last Stabilize(), with a piecewise-linear model (bounded
+///              error ε) fit over the prefix at Stabilize(). Point probes
+///              predict a position and correct within ±ε; range scans
+///              are a single sequential sweep of contiguous memory.
 enum class IndexKind : uint8_t {
   kHash = 0,
-  kSorted = 1,
-  kBtree = 2,
-  kSortedArray = 3,
-  kLearned = 4,
+  kBtree = 1,
+  kLearned = 2,
 };
 
 /// One row of the canonical kind table below.
 struct IndexKindInfo {
   IndexKind kind;
-  const char* name;      // Canonical spelling ("sorted-array").
-  const char* alt_name;  // Identifier-safe alias, or nullptr.
+  const char* name;
 };
 
 /// The single source of truth for kind names: `--index-kind` parsing, the
 /// `@index` pragma diagnostic and snapshot kind validation all consume
 /// this table, so adding a kind here updates every surface at once.
 inline constexpr IndexKindInfo kIndexKindTable[] = {
-    {IndexKind::kHash, "hash", nullptr},
-    {IndexKind::kSorted, "sorted", nullptr},
-    {IndexKind::kBtree, "btree", nullptr},
-    {IndexKind::kSortedArray, "sorted-array", "sorted_array"},
-    {IndexKind::kLearned, "learned", nullptr},
+    {IndexKind::kHash, "hash"},
+    {IndexKind::kBtree, "btree"},
+    {IndexKind::kLearned, "learned"},
 };
 inline constexpr size_t kNumIndexKinds =
     sizeof(kIndexKindTable) / sizeof(kIndexKindTable[0]);
 
 const char* IndexKindName(IndexKind kind);
 
-/// Parses any canonical or alias spelling from kIndexKindTable ("hash",
-/// "sorted", "btree", "sorted-array"/"sorted_array", "learned"). Returns
-/// false on anything else, leaving *out untouched.
+/// Parses a name from kIndexKindTable ("hash", "btree", "learned").
+/// Returns false on anything else, leaving *out untouched.
 bool ParseIndexKind(const std::string& name, IndexKind* out);
 
-/// Comma-separated canonical names ("hash, sorted, btree, sorted-array,
-/// learned") for diagnostics that enumerate the valid kinds.
+/// Comma-separated names ("hash, btree, learned") for diagnostics that
+/// enumerate the valid kinds.
 const std::string& IndexKindNameList();
 
 /// True for kinds that keep their keys ordered (ProbeRange works).
@@ -83,7 +69,7 @@ inline bool IndexKindIsOrdered(IndexKind kind) {
 }
 
 /// The result of one index probe: a lightweight view of the matching
-/// RowIds. Most kinds hand back one contiguous span; kSortedArray hands
+/// RowIds. Most kinds hand back one contiguous span; kLearned hands
 /// back two (stable prefix + fresh tail), which is why this is a
 /// two-span cursor rather than a bare pointer pair. RowIds appear in
 /// ascending order for every kind (rows enter an index in RowId order
@@ -195,10 +181,11 @@ class IndexBase {
   virtual bool KeyBounds(Value* min, Value* max) const;
 
   /// Hints that rows below `limit` are epoch-stable (will never be
-  /// removed before the next Clear). kSortedArray rebuilds its immutable
-  /// prefix here; other kinds ignore it. Called only at quiescent points
-  /// (bulk build, watermark advance, snapshot load) — never during a
-  /// probe — so concurrent shard readers never observe a rebuild.
+  /// removed before the next Clear). kLearned rebuilds its immutable
+  /// prefix and refits its model here; other kinds ignore it. Called
+  /// only at quiescent points (bulk build, watermark advance, snapshot
+  /// load) — never during a probe — so concurrent shard readers never
+  /// observe a rebuild.
   virtual void Stabilize(RowId limit);
 
  protected:
@@ -233,32 +220,6 @@ class HashIndex final : public IndexBase {
 
  private:
   std::unordered_map<Value, std::vector<RowId>> buckets_;
-};
-
-/// kSorted: one std::map bucket vector per key — the ordered-map
-/// reference organization the B-tree and sorted-array kinds are measured
-/// against.
-class SortedIndex final : public IndexBase {
- public:
-  explicit SortedIndex(size_t column)
-      : IndexBase(column, IndexKind::kSorted) {}
-
-  void AddFast(RowId row, Value key) { buckets_[key].push_back(row); }
-  RowCursor ProbeFast(Value value) const {
-    auto it = buckets_.find(value);
-    if (it == buckets_.end()) return RowCursor();
-    return RowCursor(it->second.data(), it->second.size());
-  }
-
-  void Add(RowId row, Value key) override { AddFast(row, key); }
-  RowCursor Probe(Value value) const override { return ProbeFast(value); }
-  util::Status ProbeRange(Value lo, Value hi,
-                          std::vector<RowId>* out) const override;
-  void Clear() override { buckets_.clear(); }
-  bool KeyBounds(Value* min, Value* max) const override;
-
- private:
-  std::map<Value, std::vector<RowId>> buckets_;
 };
 
 /// kBtree: a B+tree with contiguous key arrays per node and a chained
@@ -306,18 +267,31 @@ class BtreeIndex final : public IndexBase {
   uint32_t root_ = kNoNode;
 };
 
-/// kSortedArray: an immutable index over the epoch-stable prefix — two
+/// kLearned: an immutable index over the epoch-stable prefix — two
 /// parallel arrays sorted by (key, row) — plus a hash tail for rows that
-/// arrived after the last Stabilize(). Point probes binary-search
-/// contiguous memory; range probes sweep one contiguous run (merging in
-/// whatever the tail holds). Stabilize() migrates tail rows below the
-/// new stable limit into the prefix; the watermark machinery makes every
-/// completed epoch's rows stable, so on EDB-heavy workloads the tail
-/// stays empty and probes never touch a hash table at all.
-class SortedArrayIndex : public IndexBase {
+/// arrived after the last Stabilize(), with a RMI/ALEX-style
+/// piecewise-linear approximation over the prefix. Stabilize() migrates
+/// tail rows below the new stable limit into the prefix and refits the
+/// model: a greedy shrinking-cone pass over the (distinct key, first
+/// position) points yields segments guaranteeing |predicted - actual| <=
+/// kEpsilon for every trained key. A point probe then binary-searches only
+/// the segment directory (typically a handful of entries) plus a ±ε window
+/// of the prefix instead of the whole array; a bracket check falls back to
+/// a full binary search for keys outside the model's cone (only possible
+/// for untrained keys), so correctness never depends on the model. Range
+/// probes sweep one contiguous prefix run (merging in whatever the tail
+/// holds). The watermark machinery makes every completed epoch's rows
+/// stable, so on EDB-heavy workloads the tail stays empty and probes never
+/// touch a hash table at all.
+class LearnedIndex final : public IndexBase {
  public:
-  explicit SortedArrayIndex(size_t column)
-      : IndexBase(column, IndexKind::kSortedArray) {}
+  /// Maximum |predicted - actual| the fit guarantees for trained keys.
+  /// 24 positions sit inside two or three cache lines of the key array —
+  /// the final window search stays cheap while segments stay few.
+  static constexpr size_t kEpsilon = 24;
+
+  explicit LearnedIndex(size_t column)
+      : IndexBase(column, IndexKind::kLearned) {}
 
   void AddFast(RowId row, Value key) {
     tail_[key].push_back(row);
@@ -340,50 +314,6 @@ class SortedArrayIndex : public IndexBase {
     return true;
   }
 
- protected:
-  /// For kLearned, which reuses the prefix+tail layout wholesale and only
-  /// changes how the prefix is searched.
-  SortedArrayIndex(size_t column, IndexKind kind) : IndexBase(column, kind) {}
-
-  /// Sorted by (key, row); every row here is < stable_limit_.
-  std::vector<Value> prefix_keys_;
-  std::vector<RowId> prefix_rows_;
-  RowId stable_limit_ = 0;
-  /// Rows >= stable_limit_, in insertion (ascending RowId) order.
-  std::unordered_map<Value, std::vector<RowId>> tail_;
-  /// Running [key_lo_, key_hi_] over everything ever Added (prefix and
-  /// tail; keys only leave at Clear, so the running extremes stay exact).
-  bool have_key_bounds_ = false;
-  Value key_lo_ = 0;
-  Value key_hi_ = 0;
-};
-
-/// kLearned: SortedArrayIndex's prefix+tail layout with a RMI/ALEX-style
-/// piecewise-linear approximation over the stable prefix. Stabilize()
-/// refits the model: a greedy shrinking-cone pass over the (distinct key,
-/// first position) points yields segments guaranteeing
-/// |predicted - actual| <= kEpsilon for every trained key. A point probe
-/// then binary-searches only the segment directory (typically a handful
-/// of entries) plus a ±ε window of the prefix instead of the whole array.
-/// A bracket check falls back to a full binary search for keys outside
-/// the model's cone (only possible for untrained keys), so correctness
-/// never depends on the model.
-class LearnedIndex final : public SortedArrayIndex {
- public:
-  /// Maximum |predicted - actual| the fit guarantees for trained keys.
-  /// 24 positions sit inside two or three cache lines of the key array —
-  /// the final window search stays cheap while segments stay few.
-  static constexpr size_t kEpsilon = 24;
-
-  explicit LearnedIndex(size_t column)
-      : SortedArrayIndex(column, IndexKind::kLearned) {}
-
-  RowCursor ProbeFast(Value value) const;
-
-  RowCursor Probe(Value value) const override { return ProbeFast(value); }
-  void Clear() override;
-  void Stabilize(RowId limit) override;
-
   /// Model introspection, for tests and `serve stats`.
   size_t NumSegments() const { return segments_.size(); }
 
@@ -402,6 +332,17 @@ class LearnedIndex final : public SortedArrayIndex {
 
   void RefitModel();
 
+  /// Sorted by (key, row); every row here is < stable_limit_.
+  std::vector<Value> prefix_keys_;
+  std::vector<RowId> prefix_rows_;
+  RowId stable_limit_ = 0;
+  /// Rows >= stable_limit_, in insertion (ascending RowId) order.
+  std::unordered_map<Value, std::vector<RowId>> tail_;
+  /// Running [key_lo_, key_hi_] over everything ever Added (prefix and
+  /// tail; keys only leave at Clear, so the running extremes stay exact).
+  bool have_key_bounds_ = false;
+  Value key_lo_ = 0;
+  Value key_hi_ = 0;
   std::vector<Segment> segments_;
   /// Keys outside [min_key_, max_key_] skip the model entirely.
   Value min_key_ = 0;

@@ -25,17 +25,11 @@ inline void IndexAdd(IndexBase* index, RowId row, Value key) {
     case IndexKind::kHash:
       static_cast<HashIndex*>(index)->AddFast(row, key);
       return;
-    case IndexKind::kSorted:
-      static_cast<SortedIndex*>(index)->AddFast(row, key);
-      return;
     case IndexKind::kBtree:
       static_cast<BtreeIndex*>(index)->AddFast(row, key);
       return;
-    case IndexKind::kSortedArray:
-      static_cast<SortedArrayIndex*>(index)->AddFast(row, key);
-      return;
     case IndexKind::kLearned:
-      // Inherited tail append; the model only covers the stable prefix.
+      // Tail append; the model only covers the stable prefix.
       static_cast<LearnedIndex*>(index)->AddFast(row, key);
       return;
   }
@@ -46,12 +40,8 @@ inline RowCursor IndexProbe(const IndexBase& index, Value value) {
   switch (index.kind()) {
     case IndexKind::kHash:
       return static_cast<const HashIndex&>(index).ProbeFast(value);
-    case IndexKind::kSorted:
-      return static_cast<const SortedIndex&>(index).ProbeFast(value);
     case IndexKind::kBtree:
       return static_cast<const BtreeIndex&>(index).ProbeFast(value);
-    case IndexKind::kSortedArray:
-      return static_cast<const SortedArrayIndex&>(index).ProbeFast(value);
     case IndexKind::kLearned:
       return static_cast<const LearnedIndex&>(index).ProbeFast(value);
   }

@@ -137,8 +137,8 @@ class Relation {
   RowId watermark() const { return watermark_; }
 
   /// Records the current row count as the epoch boundary and lets the
-  /// indexes compact over the now-stable row prefix (kSortedArray
-  /// rebuilds its immutable arrays here — a quiescent point, so no
+  /// indexes compact over the now-stable row prefix (kLearned rebuilds
+  /// its immutable arrays and model here — a quiescent point, so no
   /// reader ever observes the rebuild).
   void AdvanceWatermark() {
     watermark_ = num_rows_;

@@ -11,10 +11,11 @@
 // derivable in memory (the open-addressing dedup table, the column
 // indexes) is rebuilt at open instead of being persisted.
 //
-// All integers are little-endian. Layout (version 3 — identical to
-// version 2 except the index-kind byte's valid range, which grew when
-// IndexKind::kLearned was added; the version bump keeps a learned-kind
-// snapshot from decoding as garbage on a version-2 build):
+// All integers are little-endian. Layout (version 4 — identical to
+// version 3 except the index-kind byte, which is renumbered to the three
+// kinds hash = 0, btree = 1, learned = 2; a version-3 byte 1 meant a
+// kind that no longer exists, so version-3 snapshots are refused rather
+// than decoded with the wrong organization):
 //
 //   [header]
 //     magic          8 bytes  "CARACSNP"
@@ -55,7 +56,7 @@
 
 namespace carac::storage {
 
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 }  // namespace carac::storage
 

@@ -89,15 +89,18 @@ expect_cli(usage_mentions_threads 2 "--threads=N")
 
 # --index-kind: every valid kind (and auto) is accepted; anything else is
 # a configuration error with a diagnostic that lists the choices. The
-# flag must also appear in usage.
+# flag must also appear in usage. The removed kinds sorted and
+# sorted-array are rejected like any other unknown name.
 expect_cli(index_kind_hash 0 "Fibonacci" run fibonacci --scale=2
   --index-kind=hash)
-expect_cli(index_kind_sorted 0 "Fibonacci" run fibonacci --scale=2
-  --index-kind=sorted)
+expect_cli(index_kind_sorted 2
+  "invalid --index-kind=sorted: expected one of hash, btree, learned, or auto"
+  run fibonacci --scale=2 --index-kind=sorted)
 expect_cli(index_kind_btree 0 "Fibonacci" run fibonacci --scale=2
   --index-kind=btree)
-expect_cli(index_kind_sorted_array 0 "Fibonacci" run fibonacci --scale=2
-  --index-kind=sorted-array)
+expect_cli(index_kind_sorted_array 2
+  "invalid --index-kind=sorted-array: expected one of hash, btree, learned"
+  run fibonacci --scale=2 --index-kind=sorted-array)
 expect_cli(index_kind_learned 0 "Fibonacci" run fibonacci --scale=2
   --index-kind=learned)
 expect_cli(index_kind_auto 0 "Fibonacci" run fibonacci --scale=2

@@ -330,8 +330,7 @@ TEST_P(FuzzDifferential, AllConfigurationsAgree) {
     EXPECT_EQ(Evaluate(seed, config), reference) << "pull";
   }
   for (storage::IndexKind kind :
-       {storage::IndexKind::kSorted, storage::IndexKind::kBtree,
-        storage::IndexKind::kSortedArray, storage::IndexKind::kLearned}) {
+       {storage::IndexKind::kBtree, storage::IndexKind::kLearned}) {
     core::EngineConfig config;
     config.index_kind = kind;
     EXPECT_EQ(Evaluate(seed, config), reference)
@@ -411,7 +410,7 @@ TEST_P(FuzzDifferential, AllConfigurationsAgree) {
          {ir::EngineStyle::kPush, ir::EngineStyle::kPull}) {
       for (storage::IndexKind kind :
            {storage::IndexKind::kHash, storage::IndexKind::kBtree,
-            storage::IndexKind::kSortedArray, storage::IndexKind::kLearned}) {
+            storage::IndexKind::kLearned}) {
         for (bool pushdown : {true, false}) {
           core::EngineConfig config;
           config.num_threads = threads;

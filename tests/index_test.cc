@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -12,18 +13,35 @@
 namespace carac::storage {
 namespace {
 
-constexpr IndexKind kAllKinds[] = {IndexKind::kHash, IndexKind::kSorted,
-                                   IndexKind::kBtree, IndexKind::kSortedArray,
+constexpr IndexKind kAllKinds[] = {IndexKind::kHash, IndexKind::kBtree,
                                    IndexKind::kLearned};
-constexpr IndexKind kOrderedKinds[] = {IndexKind::kSorted, IndexKind::kBtree,
-                                       IndexKind::kSortedArray,
-                                       IndexKind::kLearned};
+constexpr IndexKind kOrderedKinds[] = {IndexKind::kBtree, IndexKind::kLearned};
 
 std::vector<RowId> Collect(const RowCursor& cursor) {
   std::vector<RowId> out;
   cursor.ForEach([&](RowId row) { out.push_back(row); });
   return out;
 }
+
+/// Reference index: a std::multimap keeps equal keys in insertion order,
+/// and rows are added in ascending RowId order, so its answers are exactly
+/// the ascending-RowId results every kind must produce.
+class Oracle {
+ public:
+  void Add(RowId row, Value key) { rows_.emplace(key, row); }
+  std::vector<RowId> Probe(Value key) const { return Range(key, key); }
+  std::vector<RowId> Range(Value lo, Value hi) const {
+    std::vector<RowId> out;
+    for (auto it = rows_.lower_bound(lo);
+         it != rows_.end() && it->first <= hi; ++it) {
+      out.push_back(it->second);
+    }
+    return out;
+  }
+
+ private:
+  std::multimap<Value, RowId> rows_;
+};
 
 TEST(IndexKindTest, NamesAndParsingRoundTrip) {
   for (IndexKind kind : kAllKinds) {
@@ -33,8 +51,11 @@ TEST(IndexKindTest, NamesAndParsingRoundTrip) {
     EXPECT_EQ(parsed, kind);
   }
   IndexKind parsed = IndexKind::kHash;
-  EXPECT_TRUE(ParseIndexKind("sorted_array", &parsed));  // Identifier form.
-  EXPECT_EQ(parsed, IndexKind::kSortedArray);
+  // The removed kinds' spellings no longer parse.
+  EXPECT_FALSE(ParseIndexKind("sorted", &parsed));
+  EXPECT_FALSE(ParseIndexKind("sorted-array", &parsed));
+  EXPECT_FALSE(ParseIndexKind("sorted_array", &parsed));
+  EXPECT_EQ(parsed, IndexKind::kHash);  // Untouched on failure.
   EXPECT_FALSE(ParseIndexKind("b-tree", &parsed));
   EXPECT_FALSE(ParseIndexKind("", &parsed));
   EXPECT_FALSE(IndexKindIsOrdered(IndexKind::kHash));
@@ -70,7 +91,7 @@ TEST(ColumnIndexTest, ProbeReturnsAscendingRowIds) {
   for (IndexKind kind : kAllKinds) {
     std::unique_ptr<IndexBase> index = MakeIndex(0, kind);
     for (RowId row = 0; row < 64; ++row) index->Add(row, 9);
-    index->Stabilize(40);  // Split kSortedArray across prefix and tail.
+    index->Stabilize(40);  // Split kLearned across prefix and tail.
     const std::vector<RowId> rows = Collect(index->Probe(9));
     ASSERT_EQ(rows.size(), 64u) << IndexKindName(kind);
     for (RowId row = 0; row < 64; ++row) {
@@ -111,9 +132,9 @@ TEST(ColumnIndexTest, RangeProbeOnHashIndexFailsWithKindInMessage) {
       << status.message();
   // The ordered kinds it suggests use the spellings users type
   // (--index-kind, @index), not the enum identifiers.
-  EXPECT_NE(status.message().find("sorted-array"), std::string::npos)
+  EXPECT_NE(status.message().find("btree, learned"), std::string::npos)
       << status.message();
-  EXPECT_EQ(status.message().find("kSorted"), std::string::npos)
+  EXPECT_EQ(status.message().find("kBtree"), std::string::npos)
       << status.message();
   EXPECT_TRUE(out.empty());
 }
@@ -157,42 +178,42 @@ TEST(BtreeIndexTest, SplitStressAgainstSortedReference) {
   // walk of the key space.
   constexpr Value kKeys = 5000;
   std::unique_ptr<IndexBase> btree = MakeIndex(0, IndexKind::kBtree);
-  std::unique_ptr<IndexBase> reference = MakeIndex(0, IndexKind::kSorted);
+  Oracle reference;
   for (RowId row = 0; row < 2 * kKeys; ++row) {
     const Value key = (static_cast<Value>(row) * 2654435761u) % kKeys;
     btree->Add(row, key);
-    reference->Add(row, key);
+    reference.Add(row, key);
   }
   for (Value key = 0; key < kKeys; key += 17) {
-    EXPECT_EQ(Collect(btree->Probe(key)), Collect(reference->Probe(key)))
+    EXPECT_EQ(Collect(btree->Probe(key)), reference.Probe(key))
         << "key " << key;
   }
   EXPECT_TRUE(btree->Probe(kKeys + 1).empty());
   for (Value lo = 0; lo < kKeys; lo += 611) {
-    std::vector<RowId> got, want;
+    std::vector<RowId> got;
     ASSERT_TRUE(btree->ProbeRange(lo, lo + 300, &got).ok());
-    ASSERT_TRUE(reference->ProbeRange(lo, lo + 300, &want).ok());
-    EXPECT_EQ(got, want) << "range [" << lo << ", " << lo + 300 << "]";
+    EXPECT_EQ(got, reference.Range(lo, lo + 300))
+        << "range [" << lo << ", " << lo + 300 << "]";
   }
 }
 
-TEST(SortedArrayIndexTest, StabilizeIsInvisibleToProbes) {
-  std::unique_ptr<IndexBase> index = MakeIndex(0, IndexKind::kSortedArray);
-  std::unique_ptr<IndexBase> reference = MakeIndex(0, IndexKind::kSorted);
+TEST(LearnedIndexTest, StabilizeIsInvisibleToProbes) {
+  std::unique_ptr<IndexBase> index = MakeIndex(0, IndexKind::kLearned);
+  Oracle reference;
   auto check_all = [&](const char* when) {
     for (Value key = 0; key < 12; ++key) {
-      EXPECT_EQ(Collect(index->Probe(key)), Collect(reference->Probe(key)))
+      EXPECT_EQ(Collect(index->Probe(key)), reference.Probe(key))
           << when << ", key " << key;
-      std::vector<RowId> got, want;
+      std::vector<RowId> got;
       ASSERT_TRUE(index->ProbeRange(key, key + 3, &got).ok());
-      ASSERT_TRUE(reference->ProbeRange(key, key + 3, &want).ok());
-      EXPECT_EQ(got, want) << when << ", range from " << key;
+      EXPECT_EQ(got, reference.Range(key, key + 3))
+          << when << ", range from " << key;
     }
   };
   // Epoch 1: rows 0..99, then the watermark advances (Stabilize).
   for (RowId row = 0; row < 100; ++row) {
     index->Add(row, row % 10);
-    reference->Add(row, row % 10);
+    reference.Add(row, row % 10);
   }
   check_all("tail only");
   index->Stabilize(100);
@@ -201,7 +222,7 @@ TEST(SortedArrayIndexTest, StabilizeIsInvisibleToProbes) {
   // straddle the prefix/tail boundary, then stabilized again.
   for (RowId row = 100; row < 160; ++row) {
     index->Add(row, row % 12);
-    reference->Add(row, row % 12);
+    reference.Add(row, row % 12);
   }
   check_all("prefix + tail");
   index->Stabilize(130);  // Partial: rows 130..159 stay in the tail.
@@ -257,9 +278,9 @@ TEST(RelationIndexKindTest, RangeProbeOnHashRelationIndexFails) {
 
 TEST(RelationIndexKindTest, FirstDeclarationWins) {
   Relation rel("R", 1);
-  rel.DeclareIndex(0, IndexKind::kSorted);
+  rel.DeclareIndex(0, IndexKind::kLearned);
   rel.DeclareIndex(0, IndexKind::kHash);  // Ignored (idempotent).
-  EXPECT_EQ(rel.IndexKindOf(0), IndexKind::kSorted);
+  EXPECT_EQ(rel.IndexKindOf(0), IndexKind::kLearned);
 }
 
 TEST(RelationIndexKindTest, RedeclareReplacesKindAndRebuilds) {
@@ -282,26 +303,22 @@ TEST(RelationIndexKindTest, RedeclareReplacesKindAndRebuilds) {
 TEST(DatabaseIndexKindTest, DefaultKindAppliesToAllStores) {
   DatabaseSet db;
   const RelationId r = db.AddRelation("R", 2);
-  db.SetDefaultIndexKind(IndexKind::kSorted);
+  db.SetDefaultIndexKind(IndexKind::kBtree);
   db.DeclareIndex(r, 1);
-  EXPECT_EQ(db.Get(r, DbKind::kDerived).IndexKindOf(1), IndexKind::kSorted);
-  EXPECT_EQ(db.Get(r, DbKind::kDeltaNew).IndexKindOf(1),
-            IndexKind::kSorted);
-  EXPECT_STREQ(IndexKindName(IndexKind::kSorted), "sorted");
+  EXPECT_EQ(db.Get(r, DbKind::kDerived).IndexKindOf(1), IndexKind::kBtree);
+  EXPECT_EQ(db.Get(r, DbKind::kDeltaNew).IndexKindOf(1), IndexKind::kBtree);
   EXPECT_STREQ(IndexKindName(IndexKind::kHash), "hash");
   EXPECT_STREQ(IndexKindName(IndexKind::kBtree), "btree");
-  EXPECT_STREQ(IndexKindName(IndexKind::kSortedArray), "sorted-array");
   EXPECT_STREQ(IndexKindName(IndexKind::kLearned), "learned");
 }
 
 TEST(DatabaseIndexKindTest, PerColumnOverrideBeatsDefault) {
   DatabaseSet db;
   const RelationId r = db.AddRelation("R", 2);
-  db.SetIndexKindOverride(r, 0, IndexKind::kSortedArray);
+  db.SetIndexKindOverride(r, 0, IndexKind::kLearned);
   db.DeclareIndex(r, 0);
   db.DeclareIndex(r, 1);
-  EXPECT_EQ(db.Get(r, DbKind::kDerived).IndexKindOf(0),
-            IndexKind::kSortedArray);
+  EXPECT_EQ(db.Get(r, DbKind::kDerived).IndexKindOf(0), IndexKind::kLearned);
   EXPECT_EQ(db.Get(r, DbKind::kDerived).IndexKindOf(1), IndexKind::kHash);
 }
 
@@ -319,9 +336,7 @@ TEST(EngineIndexKindTest, EveryKindProducesSameResults) {
     return engine.Results(w.output);
   };
   const auto want = run(IndexKind::kHash);
-  EXPECT_EQ(want, run(IndexKind::kSorted));
   EXPECT_EQ(want, run(IndexKind::kBtree));
-  EXPECT_EQ(want, run(IndexKind::kSortedArray));
   EXPECT_EQ(want, run(IndexKind::kLearned));
 }
 
@@ -340,7 +355,6 @@ TEST(EngineIndexKindTest, OrderedKindsWorkUnderJit) {
   };
   const auto want = run(IndexKind::kHash);
   EXPECT_EQ(want, run(IndexKind::kBtree));
-  EXPECT_EQ(want, run(IndexKind::kSortedArray));
   EXPECT_EQ(want, run(IndexKind::kLearned));
 }
 
@@ -378,35 +392,34 @@ TEST(LearnedIndexTest, DuplicateHeavyKeysMatchSortedReference) {
   // 50 distinct keys, 400 rows each: the model trains on (distinct key,
   // first position) and the probe must recover the full duplicate run.
   std::unique_ptr<IndexBase> learned = MakeIndex(0, IndexKind::kLearned);
-  std::unique_ptr<IndexBase> reference = MakeIndex(0, IndexKind::kSorted);
+  Oracle reference;
   for (RowId row = 0; row < 20000; ++row) {
     const Value key = (static_cast<Value>(row) * 2654435761u) % 50;
     learned->Add(row, key);
-    reference->Add(row, key);
+    reference.Add(row, key);
   }
   learned->Stabilize(20000);
   for (Value key = -1; key <= 50; ++key) {
-    EXPECT_EQ(Collect(learned->Probe(key)), Collect(reference->Probe(key)))
+    EXPECT_EQ(Collect(learned->Probe(key)), reference.Probe(key))
         << "key " << key;
   }
 }
 
 TEST(LearnedIndexTest, PrefixTailSplitAndUntrainedKeysFallBack) {
   std::unique_ptr<IndexBase> learned = MakeIndex(0, IndexKind::kLearned);
-  std::unique_ptr<IndexBase> reference = MakeIndex(0, IndexKind::kSorted);
+  Oracle reference;
   for (RowId row = 0; row < 3000; ++row) {
     const Value key = (static_cast<Value>(row) * 37) % 500;
     learned->Add(row, key);
-    reference->Add(row, key);
+    reference.Add(row, key);
   }
   learned->Stabilize(2000);  // Rows 2000..2999 stay in the mutable tail.
   for (Value key = -3; key <= 502; ++key) {
-    EXPECT_EQ(Collect(learned->Probe(key)), Collect(reference->Probe(key)))
+    EXPECT_EQ(Collect(learned->Probe(key)), reference.Probe(key))
         << "key " << key;
-    std::vector<RowId> got, want;
+    std::vector<RowId> got;
     ASSERT_TRUE(learned->ProbeRange(key, key + 7, &got).ok());
-    ASSERT_TRUE(reference->ProbeRange(key, key + 7, &want).ok());
-    EXPECT_EQ(got, want) << "range from " << key;
+    EXPECT_EQ(got, reference.Range(key, key + 7)) << "range from " << key;
   }
 }
 

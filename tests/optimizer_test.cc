@@ -2,7 +2,9 @@
 
 #include "datalog/dsl.h"
 #include "datalog/parser.h"
+#include "ir/exec_context.h"
 #include "ir/lowering.h"
+#include "optimizer/adaptive.h"
 #include "optimizer/freshness.h"
 #include "optimizer/join_order.h"
 #include "optimizer/selectivity.h"
@@ -303,18 +305,161 @@ TEST(ChooseIndexKindTest, OnlyRangeOnlyColumnsLeaveHash) {
   EXPECT_EQ(ChooseIndexKind(range_only, /*edb_rows=*/10, /*is_idb=*/true),
             storage::IndexKind::kBtree);
   EXPECT_EQ(ChooseIndexKind(range_only, /*edb_rows=*/10, /*is_idb=*/false),
-            storage::IndexKind::kSorted);
-  EXPECT_EQ(ChooseIndexKind(range_only, kSortedArrayMinRows,
+            storage::IndexKind::kBtree);
+  EXPECT_EQ(ChooseIndexKind(range_only, kLearnedMinRows - 1,
                             /*is_idb=*/false),
-            storage::IndexKind::kSortedArray);
+            storage::IndexKind::kBtree);
+  EXPECT_EQ(ChooseIndexKind(range_only, kLearnedMinRows, /*is_idb=*/false),
+            storage::IndexKind::kLearned);
+  EXPECT_EQ(ChooseIndexKind(range_only, kLearnedMinRows, /*is_idb=*/true),
+            storage::IndexKind::kBtree);
 
   // Any point evidence keeps the O(1) organization, range uses or not.
   const ColumnAccess mixed{/*point_uses=*/1, /*range_uses=*/2};
-  EXPECT_EQ(ChooseIndexKind(mixed, kSortedArrayMinRows, /*is_idb=*/true),
+  EXPECT_EQ(ChooseIndexKind(mixed, kLearnedMinRows, /*is_idb=*/true),
             storage::IndexKind::kHash);
   const ColumnAccess point_only{/*point_uses=*/3, /*range_uses=*/0};
   EXPECT_EQ(ChooseIndexKind(point_only, 10, /*is_idb=*/false),
             storage::IndexKind::kHash);
+}
+
+// ---- AdaptiveIndexPolicy decision table ----
+
+/// Drives AdaptiveIndexPolicy one closed epoch at a time over column 0 of
+/// one relation, recording probe counts the way the evaluators do.
+class PolicyDriver {
+ public:
+  PolicyDriver(storage::IndexKind start, AdaptiveIndexConfig config = {})
+      : policy_(config) {
+    rel_ = db_.AddRelation("R", 2);
+    db_.DeclareIndex(rel_, 0, start);
+    Grow();
+  }
+
+  /// One epoch with `points` point and `ranges` range probes on column 0;
+  /// a growing relation gains rows during it. Returns the kind in force
+  /// after the policy has seen the epoch.
+  storage::IndexKind Epoch(uint64_t points, uint64_t ranges, bool grow) {
+    if (grow) Grow();
+    ir::ColumnProbeStats* slot = profiler_.Slot(rel_, 0);
+    slot->point_probes += points;
+    slot->range_probes += ranges;
+    db_.AdvanceEpoch();
+    policy_.ObserveEpoch(&db_, profiler_);
+    return db_.Get(rel_, storage::DbKind::kDerived).IndexKindOf(0);
+  }
+
+  /// A first, traffic-free epoch: the policy learns the row count, so a
+  /// relation that does not grow afterwards counts as stable.
+  void Warm() { Epoch(0, 0, /*grow=*/false); }
+
+  const std::vector<RekindEvent>& events() const { return policy_.events(); }
+  storage::RelationId relation() const { return rel_; }
+
+ private:
+  void Grow() {
+    for (int i = 0; i < 8; ++i, ++next_) {
+      db_.InsertFact(rel_, {next_ % 5, next_});
+    }
+  }
+
+  storage::DatabaseSet db_;
+  ir::AccessProfiler profiler_;
+  AdaptiveIndexPolicy policy_;
+  storage::RelationId rel_ = 0;
+  int64_t next_ = 0;
+};
+
+TEST(AdaptiveIndexPolicyTest, PointOnlyTrafficGetsHash) {
+  PolicyDriver driver(storage::IndexKind::kBtree);
+  driver.Warm();
+  EXPECT_EQ(driver.Epoch(1000, 0, false), storage::IndexKind::kBtree);
+  EXPECT_EQ(driver.Epoch(1000, 0, false), storage::IndexKind::kHash);
+  ASSERT_EQ(driver.events().size(), 1u);
+  EXPECT_EQ(driver.events()[0].relation, driver.relation());
+  EXPECT_EQ(driver.events()[0].column, 0u);
+  EXPECT_EQ(driver.events()[0].from, storage::IndexKind::kBtree);
+  EXPECT_EQ(driver.events()[0].to, storage::IndexKind::kHash);
+}
+
+TEST(AdaptiveIndexPolicyTest, RangeShareBelowTenPercentStaysHash) {
+  PolicyDriver driver(storage::IndexKind::kHash);
+  driver.Warm();
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    EXPECT_EQ(driver.Epoch(901, 99, false), storage::IndexKind::kHash);
+  }
+  EXPECT_TRUE(driver.events().empty());
+}
+
+TEST(AdaptiveIndexPolicyTest, RangesOnStableRelationGetLearned) {
+  // Exactly 10% ranges is enough; so is range-only traffic.
+  for (uint64_t points : {2700u, 0u}) {
+    PolicyDriver driver(storage::IndexKind::kHash);
+    driver.Warm();
+    EXPECT_EQ(driver.Epoch(points, 300, false), storage::IndexKind::kHash);
+    EXPECT_EQ(driver.Epoch(points, 300, false), storage::IndexKind::kLearned)
+        << points << " point probes";
+  }
+}
+
+TEST(AdaptiveIndexPolicyTest, RangesOnGrowingRelationGetBtree) {
+  for (uint64_t points : {2700u, 0u}) {
+    PolicyDriver driver(storage::IndexKind::kHash);
+    driver.Warm();
+    EXPECT_EQ(driver.Epoch(points, 300, true), storage::IndexKind::kHash);
+    EXPECT_EQ(driver.Epoch(points, 300, true), storage::IndexKind::kBtree)
+        << points << " point probes";
+  }
+}
+
+TEST(AdaptiveIndexPolicyTest, TooFewProbesNeverMigrate) {
+  AdaptiveIndexConfig config;
+  PolicyDriver driver(storage::IndexKind::kHash, config);
+  driver.Warm();
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    EXPECT_EQ(driver.Epoch(0, config.min_probes - 1, false),
+              storage::IndexKind::kHash);
+  }
+  EXPECT_TRUE(driver.events().empty());
+  // At the threshold the evidence counts.
+  driver.Epoch(0, config.min_probes, false);
+  EXPECT_EQ(driver.Epoch(0, config.min_probes, false),
+            storage::IndexKind::kLearned);
+}
+
+TEST(AdaptiveIndexPolicyTest, NoMigrationBeforeHysteresisEpochs) {
+  AdaptiveIndexConfig config;
+  config.hysteresis_epochs = 3;
+  PolicyDriver driver(storage::IndexKind::kHash, config);
+  driver.Warm();
+  EXPECT_EQ(driver.Epoch(0, 500, false), storage::IndexKind::kHash);
+  EXPECT_EQ(driver.Epoch(0, 500, false), storage::IndexKind::kHash);
+  // An epoch that agrees with the current kind breaks the streak.
+  EXPECT_EQ(driver.Epoch(500, 0, false), storage::IndexKind::kHash);
+  EXPECT_EQ(driver.Epoch(0, 500, false), storage::IndexKind::kHash);
+  EXPECT_EQ(driver.Epoch(0, 500, false), storage::IndexKind::kHash);
+  EXPECT_EQ(driver.Epoch(0, 500, false), storage::IndexKind::kLearned);
+  EXPECT_EQ(driver.events().size(), 1u);
+}
+
+TEST(AdaptiveIndexPolicyTest, NoReevaluationDuringCooldown) {
+  AdaptiveIndexConfig config;
+  config.cooldown_epochs = 3;
+  PolicyDriver driver(storage::IndexKind::kHash, config);
+  driver.Warm();
+  driver.Epoch(0, 500, false);
+  ASSERT_EQ(driver.Epoch(0, 500, false), storage::IndexKind::kLearned);
+  // Point-only traffic right after the migration: for cooldown_epochs
+  // the column is not re-evaluated, and no hysteresis builds up either.
+  for (uint32_t epoch = 0; epoch < config.cooldown_epochs; ++epoch) {
+    EXPECT_EQ(driver.Epoch(1000, 0, false), storage::IndexKind::kLearned)
+        << "cooldown epoch " << epoch;
+  }
+  EXPECT_EQ(driver.Epoch(1000, 0, false), storage::IndexKind::kLearned);
+  EXPECT_EQ(driver.Epoch(1000, 0, false), storage::IndexKind::kHash);
+  ASSERT_EQ(driver.events().size(), 2u);
+  EXPECT_EQ(driver.events()[1].epoch - driver.events()[0].epoch,
+            config.cooldown_epochs + config.hysteresis_epochs);
 }
 
 }  // namespace

@@ -147,14 +147,14 @@ TEST(ParserTest, IndexPragmaRegistersHint) {
     Path(x, y) :- Edge(x, y).
     Path(x, z) :- Path(x, y), Edge(y, z).
     @index(Edge, 0, btree).
-    @index(Path, 1, sorted_array).
+    @index(Path, 1, learned).
   )", &p).ok());
   ASSERT_EQ(p.index_hints().size(), 2u);
   EXPECT_EQ(p.index_hints()[0].column, 0u);
   EXPECT_EQ(p.index_hints()[0].kind, storage::IndexKind::kBtree);
   EXPECT_EQ(p.PredicateName(p.index_hints()[0].predicate), "Edge");
   EXPECT_EQ(p.index_hints()[1].column, 1u);
-  EXPECT_EQ(p.index_hints()[1].kind, storage::IndexKind::kSortedArray);
+  EXPECT_EQ(p.index_hints()[1].kind, storage::IndexKind::kLearned);
   EXPECT_EQ(p.PredicateName(p.index_hints()[1].predicate), "Path");
   // The hinted program still evaluates normally.
   EXPECT_EQ(RunAndGet(&p, "Path").size(), 1u);
@@ -186,6 +186,21 @@ TEST(ParserTest, IndexPragmaRejectsUnknownKind) {
   util::Status s = ParseDatalog("Edge(1, 2).\n@index(Edge, 0, lsm).", &p);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("unknown index kind"), std::string::npos);
+}
+
+TEST(ParserTest, IndexPragmaRejectsRemovedKindAndListsValidOnes) {
+  Program p;
+  util::Status s = ParseDatalog(R"(
+    Edge(1, 2).
+    Path(x, y) :- Edge(x, y).
+    @index(Path, 1, sorted_array).
+  )", &p);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("unknown index kind 'sorted_array'"),
+            std::string::npos)
+      << s.message();
+  EXPECT_NE(s.message().find("hash, btree, learned"), std::string::npos)
+      << s.message();
 }
 
 TEST(ParserTest, FileRoundTrip) {

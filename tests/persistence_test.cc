@@ -30,6 +30,7 @@
 #include "datalog/dsl.h"
 #include "storage/factlog.h"
 #include "storage/snapshot.h"
+#include "util/hash.h"
 
 #ifndef CARAC_GOLDEN_DIR
 #error "CARAC_GOLDEN_DIR must point at tests/goldens"
@@ -618,7 +619,7 @@ TEST(PersistenceContractTest, MixedIndexKindsSurviveSaveOpenByteIdentically) {
     const storage::RelationId cost = db.AddRelation("Cost", 2);
     db.DeclareIndex(edge, 0, IndexKind::kHash);
     db.DeclareIndex(edge, 1, IndexKind::kBtree);
-    db.DeclareIndex(cost, 1, IndexKind::kSortedArray);
+    db.DeclareIndex(cost, 1, IndexKind::kLearned);
     for (int64_t i = 0; i < 50; ++i) {
       db.Get(edge, storage::DbKind::kDerived).Insert({i, i % 7});
       db.Get(cost, storage::DbKind::kDerived).Insert({i, i * 3});
@@ -632,13 +633,13 @@ TEST(PersistenceContractTest, MixedIndexKindsSurviveSaveOpenByteIdentically) {
   db.AddRelation("Cost", 2);
   // The opening engine chose differently; the persisted kinds must win.
   db.DeclareIndex(0, 1, IndexKind::kHash);
-  db.DeclareIndex(1, 1, IndexKind::kSorted);
+  db.DeclareIndex(1, 1, IndexKind::kBtree);
   CARAC_CHECK_OK(db.OpenSnapshot(path));
   const storage::Relation& edge = db.Get(0, storage::DbKind::kDerived);
   const storage::Relation& cost = db.Get(1, storage::DbKind::kDerived);
   EXPECT_EQ(edge.IndexKindOf(0), IndexKind::kHash);
   EXPECT_EQ(edge.IndexKindOf(1), IndexKind::kBtree);
-  EXPECT_EQ(cost.IndexKindOf(1), IndexKind::kSortedArray);
+  EXPECT_EQ(cost.IndexKindOf(1), IndexKind::kLearned);
   // The restored indexes actually work over the restored contents.
   EXPECT_EQ(edge.Probe(1, 3).size(), 7u);
   std::vector<storage::RowId> rows;
@@ -681,7 +682,7 @@ TEST(PersistenceGoldenTest, TcMixedKindsViaHints) {
     w.program->HintIndexKind(w.relations.at("Edge"), 0,
                              storage::IndexKind::kBtree);
     w.program->HintIndexKind(w.relations.at("Path"), 1,
-                             storage::IndexKind::kSortedArray);
+                             storage::IndexKind::kLearned);
   });
 }
 
@@ -839,6 +840,36 @@ TEST(PersistenceContractTest, ReplayMissingLogIsNotFound) {
   util::Status status = storage::FactLog::Replay(
       ScratchDir("no_log") + "/factlog.bin", &replay);
   EXPECT_EQ(status.code(), util::StatusCode::kNotFound);
+}
+
+TEST(PersistenceContractTest, OlderFormatVersionIsRefused) {
+  // Version 3 numbered five index kinds; its kind byte 1 named a kind
+  // that no longer exists. Such a snapshot must be refused by version,
+  // not decoded with the wrong organization. The header is otherwise
+  // well formed: its checksum is recomputed over the patched bytes.
+  Program p;
+  Dsl dsl(&p);
+  dsl.Relation("Edge", 2).Fact(1, 2);
+  const std::string dir = ScratchDir("old_version");
+  CARAC_CHECK_OK(p.db().SaveSnapshot(dir + "/snapshot.bin"));
+  std::vector<unsigned char> bytes = ReadFileBytes(dir + "/snapshot.bin");
+  // Header: magic[8] version u32 num_relations u32 epoch u64
+  // num_symbols u64, then the FNV-1a checksum of those 32 bytes.
+  ASSERT_GE(bytes.size(), 40u);
+  ASSERT_EQ(bytes[8], storage::kSnapshotFormatVersion);
+  bytes[8] = 3;
+  const uint64_t sum = util::HashBytes(bytes.data(), 32);
+  for (int i = 0; i < 8; ++i) {
+    bytes[32 + i] = static_cast<unsigned char>(sum >> (8 * i));
+  }
+  WriteFileBytes(dir + "/old.bin", bytes);
+  storage::DatabaseSet db;
+  const util::Status status = db.OpenSnapshot(dir + "/old.bin");
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("format version 3"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("reads only version 4"), std::string::npos)
+      << status.message();
 }
 
 TEST(PersistenceContractTest, ForeignFileIsRejectedByBothReaders) {

@@ -332,13 +332,13 @@ TEST(HashTableProperty, StagingBufferMatchesSetModel) {
   }
 }
 
-// ---- Index oracle (storage/index.h, all five organizations) ----
+// ---- Index oracle (storage/index.h, all three organizations) ----
 //
 // Every IndexKind must agree with a std::multimap<key, row> model under
 // interleaved Add/Probe/ProbeRange/BatchProbe, with Stabilize() calls
-// thrown in at random quiescent points (kSortedArray and kLearned migrate
-// tail rows into their immutable prefix there — kLearned also refits its
-// model; the others must treat it as a no-op).
+// thrown in at random quiescent points (kLearned migrates tail rows into
+// its immutable prefix there and refits its model; the others must treat
+// it as a no-op).
 // Rows enter in ascending RowId order, so for any key the model's
 // equal_range — which preserves insertion order — IS the expected
 // ascending-RowId probe result.
@@ -354,8 +354,7 @@ TEST(IndexOracleProperty, EveryKindMatchesMultimapModel) {
   using storage::RowId;
   using storage::Value;
   for (IndexKind kind :
-       {IndexKind::kHash, IndexKind::kSorted, IndexKind::kBtree,
-        IndexKind::kSortedArray, IndexKind::kLearned}) {
+       {IndexKind::kHash, IndexKind::kBtree, IndexKind::kLearned}) {
     for (uint64_t seed = 41; seed <= 46; ++seed) {
       util::Rng rng(seed);
       std::unique_ptr<storage::IndexBase> index = storage::MakeIndex(0, kind);
@@ -459,13 +458,12 @@ TEST(IndexOracleProperty, MidStreamRekindingMatchesMultimapModel) {
   using storage::IndexKind;
   using storage::RowId;
   using storage::Value;
-  constexpr IndexKind kKinds[] = {IndexKind::kHash, IndexKind::kSorted,
-                                  IndexKind::kBtree, IndexKind::kSortedArray,
+  constexpr IndexKind kKinds[] = {IndexKind::kHash, IndexKind::kBtree,
                                   IndexKind::kLearned};
   for (uint64_t seed = 71; seed <= 76; ++seed) {
     util::Rng rng(seed);
     storage::Relation rel("R", 2);
-    rel.DeclareIndex(0, kKinds[seed % 5]);
+    rel.DeclareIndex(0, kKinds[seed % 3]);
     std::multimap<Value, RowId> model;
     RowId next_row = 0;
     auto model_probe = [&](Value key) {
@@ -535,7 +533,7 @@ TEST(IndexOracleProperty, MidStreamRekindingMatchesMultimapModel) {
         case 7:
           // The adaptive policy's move, at a random quiescent point —
           // possibly a no-op re-kind to the current organization.
-          rel.RedeclareIndex(0, kKinds[rng.NextBounded(5)]);
+          rel.RedeclareIndex(0, kKinds[rng.NextBounded(3)]);
           break;
       }
     }
@@ -549,14 +547,13 @@ TEST(IndexOracleProperty, MidStreamRekindingMatchesMultimapModel) {
 
 TEST(IndexOracleProperty, GrowthBoundaryWalkEveryKind) {
   // Dense sequential inserts walk the B-tree across every node-split
-  // boundary (fanout 32) and the sorted array across repeated
+  // boundary (fanout 32) and the learned prefix across repeated
   // stabilize-merge cycles; after every insert the freshly crossed
   // state must still answer exact point probes for all earlier keys.
   using storage::IndexKind;
   using storage::RowId;
   for (IndexKind kind :
-       {IndexKind::kHash, IndexKind::kSorted, IndexKind::kBtree,
-        IndexKind::kSortedArray, IndexKind::kLearned}) {
+       {IndexKind::kHash, IndexKind::kBtree, IndexKind::kLearned}) {
     std::unique_ptr<storage::IndexBase> index = storage::MakeIndex(0, kind);
     for (RowId row = 0; row < 400; ++row) {
       index->Add(row, static_cast<storage::Value>(row));

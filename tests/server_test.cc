@@ -13,6 +13,9 @@
 //     write_stall_for_test hook — no timing games) and a second client
 //     pinned to a different worker completes count/dump/stats against
 //     the last CLOSED epoch's snapshot.
+//   - A client that stops reading: its worker gives up on it after
+//     Server::kWriteStallLimitMs, so other sessions on that worker and
+//     shutdown are delayed, not wedged.
 //   - Streaming dump regression: the zero-copy SortedRowIds dump path
 //     must reproduce tests/goldens/tc.golden byte-for-byte (the golden
 //     predates the streaming rewrite).
@@ -31,13 +34,16 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -147,6 +153,24 @@ class Client {
       out += line;
       out += '\n';
       if (line == "ok" || line.rfind("err ", 0) == 0) return out;
+    }
+  }
+
+  /// Bounds every later receive: a read that waits longer fails.
+  void SetReceiveTimeout(std::chrono::milliseconds limit) {
+    timeval timeout{};
+    timeout.tv_sec = static_cast<time_t>(limit.count() / 1000);
+    timeout.tv_usec = static_cast<suseconds_t>(limit.count() % 1000 * 1000);
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
+
+  /// Reads and discards until the peer closes; false on timeout.
+  bool DrainToEof() {
+    char chunk[65536];
+    for (;;) {
+      const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return n == 0;
     }
   }
 
@@ -486,6 +510,52 @@ TEST(ServerTest, AbruptDisconnectDoesNotWedgeOtherSessions) {
   EXPECT_EQ(polite.ReadResponse(), "ok\n");
   EXPECT_TRUE(polite.ReadEof());
   ts.Stop();
+}
+
+TEST(ServerTest, ClientThatStopsReadingDoesNotStallItsWorker) {
+  // One worker, so the stalled session and the healthy one share it.
+  // Client A asks for many large dumps and never reads: its socket
+  // buffers fill and the worker's write stops making progress. Client B,
+  // queued behind A on the same worker, must be answered once the stall
+  // limit passes, and shutdown must not wait on A. Every wait is bounded
+  // so a server without the limit fails here instead of hanging.
+  const std::string dir = ScratchDir("slow_reader");
+  const std::string csv = dir + "/chain.csv";
+  {
+    std::ofstream out(csv);
+    for (int e = 0; e < 300; ++e) out << (e + 1) << ',' << (e + 2) << '\n';
+  }
+  const auto bound =
+      std::chrono::milliseconds(net::Server::kWriteStallLimitMs) +
+      std::chrono::seconds(10);
+  TestServer ts;
+  ts.Start(PartitionedProgram(), /*num_workers=*/1);
+
+  std::optional<Client> a(Client::ConnectUnix(ts.unix_path));
+  a->Send("load Edge0 " + csv);
+  a->ReadResponse();
+  a->Send("update");
+  EXPECT_EQ(a->ReadResponse(), "ok\n");
+  for (int i = 0; i < 40; ++i) a->Send("dump Path0");  // Never read.
+
+  Client b = Client::ConnectUnix(ts.unix_path);
+  b.SetReceiveTimeout(bound);
+  b.Send("count Path0");
+  EXPECT_EQ(b.ReadResponse(), "| Path0: 45150 rows\nok\n");
+
+  // The server shut A's socket down: after what was already buffered,
+  // A reads EOF.
+  a->SetReceiveTimeout(bound);
+  EXPECT_TRUE(a->DrainToEof());
+
+  std::future<void> stopped = std::async(std::launch::async, [&] {
+    ts.Stop();
+  });
+  const bool stopped_in_time =
+      stopped.wait_for(bound) == std::future_status::ready;
+  EXPECT_TRUE(stopped_in_time) << "shutdown did not complete";
+  a.reset();  // Unwedges a server without the limit, so the test ends.
+  stopped.get();
 }
 
 // ---------------------------------------------------------------------------

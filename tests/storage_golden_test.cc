@@ -221,16 +221,10 @@ TEST(StorageGoldenTest, BoundedReachParallelMatchesGolden) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, StorageGoldenKindTest,
-    ::testing::Values(storage::IndexKind::kHash, storage::IndexKind::kSorted,
-                      storage::IndexKind::kBtree,
-                      storage::IndexKind::kSortedArray,
+    ::testing::Values(storage::IndexKind::kHash, storage::IndexKind::kBtree,
                       storage::IndexKind::kLearned),
     [](const ::testing::TestParamInfo<storage::IndexKind>& info) {
-      std::string name = storage::IndexKindName(info.param);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
+      return std::string(storage::IndexKindName(info.param));
     });
 
 }  // namespace

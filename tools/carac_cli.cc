@@ -18,10 +18,10 @@
 //   --async                compile on the compiler thread
 //   --snippet              snippet compilation (default: full)
 //   --no-indexes           disable hash indexes
-//   --index-kind=K         hash | sorted | btree | sorted-array | learned
-//                          | auto — index organization for every declared
-//                          index (default auto: hash for point-probed
-//                          columns, statistics pick an ordered kind for
+//   --index-kind=K         hash | btree | learned | auto — index
+//                          organization for every declared index
+//                          (default auto: hash for point-probed columns,
+//                          statistics pick an ordered kind for
 //                          range-only columns)
 //   --adaptive-indexes     self-tuning indexes: profile each indexed
 //                          column's runtime access mix and migrate its
