@@ -28,16 +28,17 @@
 // scan — exactly what a mis-organized column costs in practice, and
 // the reason the policy exists.
 //
-// Machine-readable ADAPTIVE lines feed scripts/run_benches.sh; --micro
-// shrinks the workload for the CI bench-smoke job.
+// Each measurement is also a `RECORD adaptive record=<phase|rekind|
+// steady|summary>` line (bench::Record) in the scripts/run_benches.sh
+// snapshot; --micro shrinks the workload for the CI bench-smoke job.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "ir/exec_context.h"
 #include "optimizer/adaptive.h"
 #include "storage/database.h"
@@ -172,16 +173,8 @@ double SteadyState(const std::vector<double>& epoch_seconds, size_t n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool micro = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--micro") == 0) {
-      micro = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--micro]\n", argv[0]);
-      return 2;
-    }
-  }
-  const Sizes s = GetSizes(micro);
+  const Sizes s =
+      GetSizes(bench::ParseArgs(argc, argv, /*has_micro=*/true).micro);
 
   std::printf("Adaptive convergence: %lld rows, %lld keys, %zu phases "
               "(shifting point/range mix)\n\n",
@@ -217,10 +210,14 @@ int main(int argc, char** argv) {
       double sec = 0;
       for (double t : epoch_seconds) total += t, sec += t;
       steady.push_back(SteadyState(epoch_seconds, kSteadyWindow));
-      std::printf("ADAPTIVE config=static-%s phase=%s epochs=%d "
-                  "seconds=%.6f steady_epoch=%.6f\n",
-                  storage::IndexKindName(kind), phase.name, phase.epochs,
-                  sec, steady.back());
+      bench::Record(
+          "adaptive",
+          {{"record", "phase"},
+           {"config", std::string("static-") + storage::IndexKindName(kind)},
+           {"phase", phase.name},
+           {"epochs", phase.epochs},
+           {"seconds", sec},
+           {"steady_epoch", steady.back()}});
     }
     static_totals.push_back(total);
     static_steady.push_back(steady);
@@ -264,11 +261,14 @@ int main(int argc, char** argv) {
     double sec = 0;
     for (double t : epoch_seconds) adaptive_total += t, sec += t;
     adaptive_steady.push_back(SteadyState(epoch_seconds, kSteadyWindow));
-    std::printf("ADAPTIVE config=adaptive phase=%s epochs=%d seconds=%.6f "
-                "steady_epoch=%.6f kind=%s\n",
-                phase.name, phase.epochs, sec, adaptive_steady.back(),
-                storage::IndexKindName(
-                    db.Get(rel, DbKind::kDerived).IndexKindOf(0)));
+    const IndexKind kind = db.Get(rel, DbKind::kDerived).IndexKindOf(0);
+    bench::Record("adaptive", {{"record", "phase"},
+                               {"config", "adaptive"},
+                               {"phase", phase.name},
+                               {"epochs", phase.epochs},
+                               {"seconds", sec},
+                               {"steady_epoch", adaptive_steady.back()},
+                               {"kind", storage::IndexKindName(kind)}});
   }
   if (adaptive_hits != want_hits) {
     std::fprintf(stderr, "error: adaptive diverged (%zu hits != %zu)\n",
@@ -276,10 +276,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   for (const optimizer::RekindEvent& event : policy.events()) {
-    std::printf("ADAPTIVE rekind epoch=%llu col=%u from=%s to=%s\n",
-                static_cast<unsigned long long>(event.epoch), event.column,
-                storage::IndexKindName(event.from),
-                storage::IndexKindName(event.to));
+    bench::Record("adaptive", {{"record", "rekind"},
+                               {"epoch", event.epoch},
+                               {"col", event.column},
+                               {"from", storage::IndexKindName(event.from)},
+                               {"to", storage::IndexKindName(event.to)}});
   }
 
   // The convergence claim: per phase, steady-state adaptive epochs vs
@@ -296,23 +297,30 @@ int main(int argc, char** argv) {
     }
     const double ratio = best > 0 ? adaptive_steady[p] / best : 0;
     if (ratio > worst_steady_ratio) worst_steady_ratio = ratio;
-    std::printf("ADAPTIVE steady phase=%s adaptive_epoch=%.6f "
-                "best_kind=%s best_epoch=%.6f ratio=%.3f\n",
-                s.phases[p].name, adaptive_steady[p],
-                storage::IndexKindName(kStaticKinds[best_kind]), best,
-                ratio);
+    bench::Record("adaptive",
+                  {{"record", "steady"},
+                   {"phase", s.phases[p].name},
+                   {"adaptive_epoch", adaptive_steady[p]},
+                   {"best_kind",
+                    storage::IndexKindName(kStaticKinds[best_kind])},
+                   {"best_epoch", best},
+                   {"ratio", ratio}});
   }
 
   const double full_ratio = static_totals[best_static] > 0
                                 ? adaptive_total / static_totals[best_static]
                                 : 0;
-  std::printf("\nADAPTIVE summary adaptive=%.6f rekind_overhead=%.6f "
-              "best_static=%s best=%.6f full_ratio=%.3f "
-              "worst_steady_ratio=%.3f rekinds=%zu\n",
-              adaptive_total, rekind_total,
-              storage::IndexKindName(kStaticKinds[best_static]),
-              static_totals[best_static], full_ratio, worst_steady_ratio,
-              policy.events().size());
+  std::printf("\n");
+  bench::Record(
+      "adaptive",
+      {{"record", "summary"},
+       {"adaptive", adaptive_total},
+       {"rekind_overhead", rekind_total},
+       {"best_static", storage::IndexKindName(kStaticKinds[best_static])},
+       {"best", static_totals[best_static]},
+       {"full_ratio", full_ratio},
+       {"worst_steady_ratio", worst_steady_ratio},
+       {"rekinds", policy.events().size()}});
   if (policy.events().empty()) {
     std::fprintf(stderr,
                  "error: the shifting workload triggered no re-kinds\n");

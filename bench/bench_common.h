@@ -7,9 +7,16 @@
 // (who wins, rough factors, crossovers) is what EXPERIMENTS.md compares.
 // CARAC_BENCH_SCALE=large restores bigger inputs.
 
+#include <algorithm>
+#include <array>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
+#include <initializer_list>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/programs.h"
@@ -24,29 +31,98 @@ inline bool LargeScale() {
   return scale != nullptr && std::string(scale) == "large";
 }
 
-/// Parses the one flag the bench mains accept, `--threads N` (evaluation
-/// threads for the Carac engine configurations; 1 = the single-threaded
-/// runs every earlier BENCH_*.json was recorded with). Exits 2 on
-/// malformed input so scripts/run_benches.sh surfaces the mistake.
-inline int ThreadsFromArgs(int argc, char** argv) {
-  int64_t threads = 1;
+/// The bench mains' flags: `--threads N` (evaluation threads for the
+/// Carac engine configurations; 1 = the single-threaded runs every
+/// earlier BENCH_*.json was recorded with; the storage-level index and
+/// adaptive micros are single-threaded and ignore it) and, in the
+/// benches that have one, `--micro` (a sub-second slice for the CI
+/// bench-smoke job).
+struct Args {
+  int threads = 1;
+  bool micro = false;
+};
+
+/// Parses the bench flags. Exits 2 with a usage line on anything else
+/// (`--micro` included where `has_micro` is false) so
+/// scripts/run_benches.sh surfaces the mistake.
+inline Args ParseArgs(int argc, char** argv, bool has_micro) {
+  Args args;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--threads" && i + 1 < argc) {
-      if (!util::ParseInt64(argv[i + 1], &threads) || threads < 1 ||
+    const std::string arg = argv[i];
+    if (has_micro && arg == "--micro") {
+      args.micro = true;
+    } else if (arg == "--threads" && i + 1 < argc) {
+      int64_t threads = 0;
+      ++i;
+      if (!util::ParseInt64(argv[i], &threads) || threads < 1 ||
           threads > 256) {
         std::fprintf(stderr,
                      "error: --threads wants an integer in [1, 256], got "
                      "\"%s\"\n",
-                     argv[i + 1]);
+                     argv[i]);
         std::exit(2);
       }
-      ++i;
+      args.threads = static_cast<int>(threads);
     } else {
-      std::fprintf(stderr, "usage: %s [--threads N]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s%s [--threads N]\n", argv[0],
+                   has_micro ? " [--micro]" : "");
       std::exit(2);
     }
   }
-  return static_cast<int>(threads);
+  return args;
+}
+
+/// One `key=value` field of a RECORD line. Integers print exactly;
+/// floating point prints to six significant digits and always carries a
+/// '.' or an exponent, so a reader can tell a size from a measurement.
+/// Whitespace and '=' in a string value become '-' (an empty one is
+/// "-"), so every value is one token.
+class RecordField {
+ public:
+  RecordField(const char* key, std::string value) : text_(key) {
+    if (value.empty()) value = "-";
+    for (char& c : value) {
+      if (std::isspace(static_cast<unsigned char>(c)) || c == '=') c = '-';
+    }
+    text_ += "=" + value;
+  }
+  RecordField(const char* key, const char* value)
+      : RecordField(key, std::string(value)) {}
+  template <typename T,
+            typename = std::enable_if_t<std::is_arithmetic_v<T>>>
+  RecordField(const char* key, T value) : text_(key) {
+    if constexpr (std::is_integral_v<T>) {
+      text_ += "=" + std::to_string(value);
+    } else {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.6g", static_cast<double>(value));
+      text_ += std::string("=") + buf;
+      if (std::strpbrk(buf, ".en") == nullptr) text_ += ".0";
+    }
+  }
+
+  const std::string& text() const { return text_; }
+
+ private:
+  std::string text_;
+};
+
+/// Prints the one machine-readable line shape every bench emits:
+///   RECORD <section> key=value ...
+/// scripts/run_benches.sh turns each line into one object of the
+/// snapshot's "records" array ({"bench", "section", ...fields}); a new
+/// bench adds records, not schema.
+inline void Record(const char* section,
+                   std::initializer_list<RecordField> fields) {
+  std::string line = std::string("RECORD ") + section;
+  for (const RecordField& field : fields) line += " " + field.text();
+  std::printf("%s\n", line.c_str());
+}
+
+/// Median of `v` (the upper one for even sizes).
+inline double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 struct Sizes {
@@ -130,8 +206,9 @@ struct FigureBenchmark {
 /// Shared driver for Figs. 6-9: speedup of each JIT configuration over the
 /// interpreted `baseline_order` program, with the JIT consuming
 /// `input_order` programs. Prints one row per configuration with indexed
-/// and unindexed columns per benchmark.
-inline void PrintSpeedupFigure(const std::string& title,
+/// and unindexed columns per benchmark, and one `RECORD cell` line per
+/// measured cell (`figure` is its short label, e.g. "fig7").
+inline void PrintSpeedupFigure(const char* figure, const std::string& title,
                                const std::vector<FigureBenchmark>& benchmarks,
                                analysis::RuleOrder input_order,
                                bool include_hand_row, const Sizes& sizes,
@@ -143,9 +220,12 @@ inline void PrintSpeedupFigure(const std::string& title,
   // the figure therefore answers "what does enabling an N-thread pool do
   // to each configuration as-is", NOT "how does each backend scale"; the
   // printed note keeps recorded snapshots from being misread.
-  auto with_threads = [num_threads](core::EngineConfig config) {
+  auto measure = [&](const FigureBenchmark& b, analysis::RuleOrder order,
+                     core::EngineConfig config) {
     config.num_threads = num_threads;
-    return config;
+    return harness::MeasureMedian(Factory(b.name, order, sizes), config,
+                                  sizes.reps)
+        .seconds;
   };
   if (num_threads > 1) {
     std::printf("%s (threads=%d)\n\n", title.c_str(), num_threads);
@@ -165,79 +245,63 @@ inline void PrintSpeedupFigure(const std::string& title,
   }
   harness::TablePrinter table(headers);
 
-  // Baselines per benchmark x index setting.
-  struct Baseline {
-    double indexed = 0, unindexed = 0;
-  };
-  std::vector<Baseline> baselines;
+  // Baselines per benchmark x index setting ([0] unindexed, [1] indexed).
+  std::vector<std::array<double, 2>> baselines;
   for (const FigureBenchmark& b : benchmarks) {
-    Baseline base;
-    auto factory = Factory(b.name, input_order, sizes);
-    base.indexed =
-        harness::MeasureMedian(factory,
-                               with_threads(harness::InterpretedConfig(true)),
-                               sizes.reps)
-            .seconds;
-    if (!b.indexed_only) {
-      base.unindexed =
-          harness::MeasureMedian(
-              factory, with_threads(harness::InterpretedConfig(false)),
-              sizes.reps)
-              .seconds;
-    }
-    baselines.push_back(base);
+    const double indexed =
+        measure(b, input_order, harness::InterpretedConfig(true));
+    baselines.push_back(
+        {b.indexed_only
+             ? 0
+             : measure(b, input_order, harness::InterpretedConfig(false)),
+         indexed});
   }
 
-  auto speedup_cell = [](double base, double measured) -> std::string {
-    if (base <= 0 || measured <= 0) return "-";
-    return harness::FormatSpeedup(base / measured);
+  struct Row {
+    const char* label;
+    analysis::RuleOrder order;
+    std::function<core::EngineConfig(bool indexes)> config;
   };
-
+  std::vector<Row> rows;
   if (include_hand_row) {
-    std::vector<std::string> row = {"Hand-Optimized (interp)"};
+    rows.push_back({"Hand-Optimized (interp)",
+                    analysis::RuleOrder::kHandOptimized,
+                    [](bool indexes) {
+                      return harness::InterpretedConfig(indexes);
+                    }});
+  }
+  for (const JitRowSpec& spec : JitRows()) {
+    rows.push_back({spec.label, input_order, [spec](bool indexes) {
+                      return harness::JitConfigOf(
+                          spec.backend, spec.async, indexes,
+                          core::Granularity::kUnion,
+                          backends::CompileMode::kFull);
+                    }});
+  }
+
+  for (const Row& row : rows) {
+    std::vector<std::string> cells = {row.label};
     for (size_t i = 0; i < benchmarks.size(); ++i) {
-      auto factory = Factory(benchmarks[i].name,
-                             analysis::RuleOrder::kHandOptimized, sizes);
-      const double idx =
-          harness::MeasureMedian(
-              factory, with_threads(harness::InterpretedConfig(true)),
-              sizes.reps)
-              .seconds;
-      row.push_back(speedup_cell(baselines[i].indexed, idx));
-      if (benchmarks[i].indexed_only) {
-        row.push_back("-");
-      } else {
-        const double unidx =
-            harness::MeasureMedian(
-                factory, with_threads(harness::InterpretedConfig(false)),
-                sizes.reps)
-                .seconds;
-        row.push_back(speedup_cell(baselines[i].unindexed, unidx));
+      for (bool indexes : {true, false}) {
+        if (!indexes && benchmarks[i].indexed_only) {
+          cells.push_back("-");
+          continue;
+        }
+        const double base = baselines[i][indexes];
+        const double seconds =
+            measure(benchmarks[i], row.order, row.config(indexes));
+        const double speedup = base > 0 && seconds > 0 ? base / seconds : 0;
+        cells.push_back(speedup > 0 ? harness::FormatSpeedup(speedup) : "-");
+        Record("cell", {{"figure", figure},
+                        {"config", row.label},
+                        {"workload", benchmarks[i].name},
+                        {"indexes", indexes ? "idx" : "unidx"},
+                        {"baseline_s", base},
+                        {"seconds", seconds},
+                        {"speedup", speedup}});
       }
     }
-    table.AddRow(std::move(row));
-  }
-
-  for (const JitRowSpec& spec : JitRows()) {
-    std::vector<std::string> row = {spec.label};
-    for (size_t i = 0; i < benchmarks.size(); ++i) {
-      auto factory = Factory(benchmarks[i].name, input_order, sizes);
-      auto run = [&](bool indexes) {
-        return harness::MeasureMedian(
-                   factory,
-                   with_threads(harness::JitConfigOf(
-                       spec.backend, spec.async, indexes,
-                       core::Granularity::kUnion,
-                       backends::CompileMode::kFull)),
-                   sizes.reps)
-            .seconds;
-      };
-      row.push_back(speedup_cell(baselines[i].indexed, run(true)));
-      row.push_back(benchmarks[i].indexed_only
-                        ? "-"
-                        : speedup_cell(baselines[i].unindexed, run(false)));
-    }
-    table.AddRow(std::move(row));
+    table.AddRow(std::move(cells));
   }
   table.Print();
 }

@@ -7,10 +7,10 @@
 
 int main(int argc, char** argv) {
   using namespace carac;
-  const int threads = bench::ThreadsFromArgs(argc, argv);
+  const int threads = bench::ParseArgs(argc, argv, false).threads;
   const bench::Sizes sizes = bench::Sizes::Get();
   bench::PrintSpeedupFigure(
-      "Fig. 6: macrobenchmarks — speedup over \"unoptimized\"",
+      "fig6", "Fig. 6: macrobenchmarks — speedup over \"unoptimized\"",
       {{"Andersen", false}, {"InvFuns", false}, {"CSPA", true}},
       analysis::RuleOrder::kUnoptimized,
       /*include_hand_row=*/true, sizes, threads);

@@ -8,6 +8,7 @@ int main() {
   using namespace carac;
   const bench::Sizes sizes = bench::Sizes::Get();
   bench::PrintSpeedupFigure(
+      "fig7",
       "Fig. 7: microbenchmarks — speedup over \"unoptimized\" (log-scale "
       "in the paper)",
       {{"Ackermann", false}, {"Fibonacci", false}, {"Primes", false}},

@@ -6,10 +6,10 @@
 
 int main(int argc, char** argv) {
   using namespace carac;
-  const int threads = bench::ThreadsFromArgs(argc, argv);
+  const int threads = bench::ParseArgs(argc, argv, false).threads;
   const bench::Sizes sizes = bench::Sizes::Get();
   bench::PrintSpeedupFigure(
-      "Fig. 8: macrobenchmarks — speedup over \"hand-optimized\"",
+      "fig8", "Fig. 8: macrobenchmarks — speedup over \"hand-optimized\"",
       {{"Andersen", false},
        {"InvFuns", false},
        {"CSPA", true},

@@ -7,7 +7,7 @@ int main() {
   using namespace carac;
   const bench::Sizes sizes = bench::Sizes::Get();
   bench::PrintSpeedupFigure(
-      "Fig. 9: microbenchmarks — speedup over \"hand-optimized\"",
+      "fig9", "Fig. 9: microbenchmarks — speedup over \"hand-optimized\"",
       {{"Ackermann", false}, {"Fibonacci", false}, {"Primes", false}},
       analysis::RuleOrder::kHandOptimized,
       /*include_hand_row=*/false, sizes);

@@ -7,8 +7,8 @@
 //   epoch: AddFacts(delta) + Update() on an engine already at fixpoint
 //          over the other (100 - delta)% of the facts,
 // checks both land on the same result cardinality, and reports the
-// speedup. Machine-readable INCREMENTAL lines feed the "incremental"
-// section of scripts/run_benches.sh's JSON snapshot (carac-bench/v3).
+// speedup. Each measurement is also a `RECORD incremental` line
+// (bench::Record) in the scripts/run_benches.sh snapshot.
 
 #include <algorithm>
 #include <cstdio>
@@ -27,11 +27,6 @@ namespace {
 using namespace carac;
 
 constexpr int kReps = 3;
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 /// Per-relation fact lists of a freshly built workload (construction
 /// inserts facts into Derived), split into a head (the pre-loaded
@@ -113,7 +108,7 @@ IncResult Measure(const harness::WorkloadFactory& make,
       result.consistent = false;
     }
   }
-  result.epoch_seconds = Median(epoch_times);
+  result.epoch_seconds = bench::Median(epoch_times);
   return result;
 }
 
@@ -123,7 +118,7 @@ int main(int argc, char** argv) {
   // --threads applies to BOTH arms (full and epoch), so the reported
   // speedup stays an apples-to-apples comparison at that pool width.
   core::EngineConfig config;
-  config.num_threads = bench::ThreadsFromArgs(argc, argv);
+  config.num_threads = bench::ParseArgs(argc, argv, false).threads;
   const bench::Sizes sizes = bench::Sizes::Get();
   // Edge/vertex ratio 1.5 keeps the closure sparse enough that a 1%
   // edge delta derives a proportionally small path delta; denser graphs
@@ -177,9 +172,11 @@ int main(int argc, char** argv) {
                     harness::FormatSeconds(r.epoch_seconds),
                     harness::FormatSpeedup(speedup),
                     std::to_string(r.output_rows)});
-      std::printf("INCREMENTAL %s delta_pct=%d full=%.6f epoch=%.6f "
-                  "speedup=%.2f\n",
-                  spec.name, pct, r.full_seconds, r.epoch_seconds, speedup);
+      bench::Record("incremental", {{"workload", spec.name},
+                                    {"delta_pct", pct},
+                                    {"full_seconds", r.full_seconds},
+                                    {"epoch_seconds", r.epoch_seconds},
+                                    {"speedup", speedup}});
     }
   }
   std::printf("\n");

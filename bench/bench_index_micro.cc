@@ -18,16 +18,16 @@
 //            kLearned closes on (or beats) kHash and leaves the
 //            kBtree descent behind.
 //
-// Machine-readable INDEX lines feed the "index" section of
-// scripts/run_benches.sh's JSON snapshot (carac-bench/v5). `--micro`
-// shrinks the workload to a sub-second slice for the CI bench-smoke job.
+// Each measurement is also a `RECORD index` line (bench::Record) in the
+// scripts/run_benches.sh snapshot. `--micro` shrinks the workload to a
+// sub-second slice for the CI bench-smoke job.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "harness/table.h"
 #include "storage/index.h"
 #include "storage/relation.h"
@@ -45,11 +45,6 @@ using storage::Value;
 
 constexpr IndexKind kAllKinds[] = {IndexKind::kHash, IndexKind::kBtree,
                                    IndexKind::kLearned};
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 struct Sizes {
   int64_t rows;
@@ -114,7 +109,7 @@ double MeasureUniquePointProbe(const Relation& rel, const Sizes& s) {
       std::exit(1);
     }
   }
-  return Median(times);
+  return bench::Median(times);
 }
 
 double MeasurePointProbe(const Relation& rel, const Sizes& s) {
@@ -132,7 +127,7 @@ double MeasurePointProbe(const Relation& rel, const Sizes& s) {
       std::exit(1);
     }
   }
-  return Median(times);
+  return bench::Median(times);
 }
 
 /// Sliding [lo, lo+span] sweeps across the whole key domain; every
@@ -152,7 +147,7 @@ double MeasureRangeProbe(const Relation& rel, const Sizes& s,
     times.push_back(timer.ElapsedSeconds());
     *total_rows = rows;
   }
-  return Median(times);
+  return bench::Median(times);
 }
 
 /// The duplicate-heavy outer sequence: each key repeated dup_run times
@@ -192,8 +187,8 @@ void MeasureBatch(const Relation& rel, const Sizes& s, double* batch_s,
                  batch_hits, point_hits);
     std::exit(1);
   }
-  *batch_s = Median(batch_times);
-  *point_s = Median(point_times);
+  *batch_s = bench::Median(batch_times);
+  *point_s = bench::Median(point_times);
 }
 
 double Mops(int64_t ops, double seconds) {
@@ -203,16 +198,8 @@ double Mops(int64_t ops, double seconds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool micro = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--micro") == 0) {
-      micro = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--micro]\n", argv[0]);
-      return 2;
-    }
-  }
-  const Sizes s = GetSizes(micro);
+  const Sizes s =
+      GetSizes(bench::ParseArgs(argc, argv, /*has_micro=*/true).micro);
 
   std::printf("Index micro: %lld rows, %lld keys, per-kind "
               "insert/probe/range/batch (median of %d)\n\n",
@@ -227,61 +214,64 @@ int main(int argc, char** argv) {
     BuildRelation(kind, s, &rel, &insert_s);
 
     const double probe_s = MeasurePointProbe(rel, s);
-    std::printf("INDEX %s probe rows=%lld keys=%lld seconds=%.6f "
-                "mprobes=%.2f\n",
-                storage::IndexKindName(kind),
-                static_cast<long long>(s.rows),
-                static_cast<long long>(s.keys), probe_s,
-                Mops(s.keys, probe_s));
-    std::printf("INDEX %s insert rows=%lld seconds=%.6f mrows=%.2f\n",
-                storage::IndexKindName(kind),
-                static_cast<long long>(s.rows), insert_s,
-                Mops(s.rows, insert_s));
+    const char* name = storage::IndexKindName(kind);
+    bench::Record("index", {{"kind", name},
+                            {"metric", "probe"},
+                            {"rows", s.rows},
+                            {"keys", s.keys},
+                            {"seconds", probe_s},
+                            {"mprobes", Mops(s.keys, probe_s)}});
+    bench::Record("index", {{"kind", name},
+                            {"metric", "insert"},
+                            {"rows", s.rows},
+                            {"seconds", insert_s},
+                            {"mrows", Mops(s.rows, insert_s)}});
 
     {
       Relation urel("U", 2);
       BuildUniqueRelation(kind, s, &urel);
       const double upoint_s = MeasureUniquePointProbe(urel, s);
-      std::printf("INDEX %s upoint rows=%lld seconds=%.6f mprobes=%.2f\n",
-                  storage::IndexKindName(kind),
-                  static_cast<long long>(s.rows), upoint_s,
-                  Mops(s.rows, upoint_s));
+      bench::Record("index", {{"kind", name},
+                              {"metric", "upoint"},
+                              {"rows", s.rows},
+                              {"seconds", upoint_s},
+                              {"mprobes", Mops(s.rows, upoint_s)}});
     }
 
-    double range_s = 0;
-    size_t range_rows = 0;
     std::string range_cell = "-";
     if (storage::IndexKindIsOrdered(kind)) {
-      range_s = MeasureRangeProbe(rel, s, &range_rows);
-      std::printf("INDEX %s range rows=%lld span=%lld seconds=%.6f "
-                  "mrows=%.2f\n",
-                  storage::IndexKindName(kind),
-                  static_cast<long long>(s.rows),
-                  static_cast<long long>(s.span), range_s,
-                  Mops(static_cast<int64_t>(range_rows), range_s));
+      size_t range_rows = 0;
+      const double range_s = MeasureRangeProbe(rel, s, &range_rows);
+      const double mrows = Mops(static_cast<int64_t>(range_rows), range_s);
+      bench::Record("index", {{"kind", name},
+                              {"metric", "range"},
+                              {"rows", s.rows},
+                              {"span", s.span},
+                              {"seconds", range_s},
+                              {"mrows", mrows}});
       char buf[32];
-      std::snprintf(buf, sizeof buf, "%.1f",
-                    Mops(static_cast<int64_t>(range_rows), range_s));
+      std::snprintf(buf, sizeof buf, "%.1f", mrows);
       range_cell = buf;
     }
 
     double batch_s = 0, point_s = 0;
     MeasureBatch(rel, s, &batch_s, &point_s);
     const double speedup = batch_s > 0 ? point_s / batch_s : 0;
-    std::printf("INDEX %s batch rows=%lld window=%lld dup_run=%lld "
-                "batch_s=%.6f point_s=%.6f speedup=%.2f\n",
-                storage::IndexKindName(kind),
-                static_cast<long long>(s.rows),
-                static_cast<long long>(s.window),
-                static_cast<long long>(s.dup_run), batch_s, point_s,
-                speedup);
+    bench::Record("index", {{"kind", name},
+                            {"metric", "batch"},
+                            {"rows", s.rows},
+                            {"window", s.window},
+                            {"dup_run", s.dup_run},
+                            {"batch_s", batch_s},
+                            {"point_s", point_s},
+                            {"speedup", speedup}});
 
     char insert_cell[32], probe_cell[32], batch_cell[32];
     std::snprintf(insert_cell, sizeof insert_cell, "%.3f", insert_s);
     std::snprintf(probe_cell, sizeof probe_cell, "%.2f",
                   Mops(s.keys, probe_s));
     std::snprintf(batch_cell, sizeof batch_cell, "%.2fx", speedup);
-    table.AddRow({storage::IndexKindName(kind), insert_cell, probe_cell,
+    table.AddRow({name, insert_cell, probe_cell,
                   range_cell, batch_cell});
   }
   std::printf("\n");

@@ -5,9 +5,9 @@
 // comfortably above the parallel dispatch threshold for most of the
 // fixpoint — this is the workload regime the worker pool exists for.
 //
-// Besides the human table, each measurement prints a machine-readable
-//   SCALING <workload> threads=<n> seconds=<s> speedup=<x>
-// line that scripts/run_benches.sh folds into the BENCH_*.json snapshot.
+// Besides the human table, each measurement is a
+//   RECORD parallel_scaling workload=<w> threads=<n> seconds=<s> speedup=<x>
+// line (bench::Record) in the scripts/run_benches.sh snapshot.
 
 #include <cstdio>
 #include <string>
@@ -65,8 +65,10 @@ int main() {
       if (threads == 1) base = m.seconds;
       if (threads == 4) at4 = m.seconds;
       const double speedup = m.seconds > 0 ? base / m.seconds : 0;
-      std::printf("SCALING %s threads=%d seconds=%.4f speedup=%.2f\n",
-                  w.name, threads, m.seconds, speedup);
+      bench::Record("parallel_scaling", {{"workload", w.name},
+                                         {"threads", threads},
+                                         {"seconds", m.seconds},
+                                         {"speedup", speedup}});
       row.push_back(threads == 1 ? harness::FormatSeconds(m.seconds)
                                  : harness::FormatSeconds(m.seconds) + " (" +
                                        harness::FormatSpeedup(speedup) + ")");

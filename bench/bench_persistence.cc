@@ -12,12 +12,11 @@
 //                   the committed tail through one incremental epoch.
 //                   Both arms must land on the same output cardinality.
 //
-// Machine-readable PERSISTENCE lines feed the "persistence" section of
-// scripts/run_benches.sh's JSON snapshot (carac-bench/v4).
+// Each measurement is also a `RECORD persistence` line (bench::Record)
+// in the scripts/run_benches.sh snapshot.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -34,11 +33,6 @@ namespace {
 using namespace carac;
 
 constexpr int kReps = 3;
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 std::string ScratchDir(const std::string& name) {
   const std::filesystem::path dir =
@@ -111,11 +105,10 @@ void RunSnapshotMicro() {
     CARAC_CHECK(loaded.Get(w.output, storage::DbKind::kDerived).size() ==
                 engine.ResultSize(w.output));
   }
-  const double bytes =
-      static_cast<double>(std::filesystem::file_size(path));
-  const double write_s = Median(write_times);
-  const double load_s = Median(load_times);
-  const double mb = bytes / (1024.0 * 1024.0);
+  const uintmax_t bytes = std::filesystem::file_size(path);
+  const double write_s = bench::Median(write_times);
+  const double load_s = bench::Median(load_times);
+  const double mb = static_cast<double>(bytes) / (1024.0 * 1024.0);
   std::printf("snapshot micro: tc %lld vertices / %lld edges, %zu stored "
               "rows, %.1f MB\n",
               static_cast<long long>(vertices),
@@ -123,9 +116,12 @@ void RunSnapshotMicro() {
   std::printf("  write: %s s (%.0f MB/s)   load: %s s (%.0f MB/s)\n",
               harness::FormatSeconds(write_s).c_str(), mb / write_s,
               harness::FormatSeconds(load_s).c_str(), mb / load_s);
-  std::printf("PERSISTENCE tc snapshot rows=%zu bytes=%.0f write_s=%.6f "
-              "load_s=%.6f\n",
-              total_rows, bytes, write_s, load_s);
+  bench::Record("persistence", {{"workload", "tc"},
+                                {"kind", "snapshot"},
+                                {"rows", total_rows},
+                                {"bytes", bytes},
+                                {"write_s", write_s},
+                                {"load_s", load_s}});
   std::filesystem::remove_all(dir);
 }
 
@@ -194,39 +190,20 @@ RecoverResult MeasureRecover(const harness::WorkloadFactory& make,
     }
     std::filesystem::remove_all(dir);
   }
-  result.recover_seconds = Median(recover_times);
+  result.recover_seconds = bench::Median(recover_times);
   return result;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool micro_only = false;
+  const bench::Args args = bench::ParseArgs(argc, argv, /*has_micro=*/true);
   core::EngineConfig config;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--micro") == 0) {
-      micro_only = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      int64_t threads = 1;
-      if (!util::ParseInt64(argv[i + 1], &threads) || threads < 1 ||
-          threads > 256) {
-        std::fprintf(stderr,
-                     "error: --threads wants an integer in [1, 256], got "
-                     "\"%s\"\n",
-                     argv[i + 1]);
-        return 2;
-      }
-      config.num_threads = static_cast<int>(threads);
-      ++i;
-    } else {
-      std::fprintf(stderr, "usage: %s [--micro] [--threads N]\n", argv[0]);
-      return 2;
-    }
-  }
+  config.num_threads = args.threads;
 
   std::printf("Persistence: snapshot throughput and recover-vs-recompute\n\n");
   RunSnapshotMicro();
-  if (micro_only) return 0;
+  if (args.micro) return 0;
   std::printf("\n");
 
   // The tc arm runs on a GROWTH-ordered graph (analysis::
@@ -281,10 +258,12 @@ int main(int argc, char** argv) {
                     harness::FormatSeconds(r.recover_seconds),
                     harness::FormatSpeedup(speedup),
                     std::to_string(r.output_rows)});
-      std::printf("PERSISTENCE %s recover tail_pct=%d full_s=%.6f "
-                  "recover_s=%.6f speedup=%.2f\n",
-                  spec.name, pct, r.full_seconds, r.recover_seconds,
-                  speedup);
+      bench::Record("persistence", {{"workload", spec.name},
+                                    {"kind", "recover"},
+                                    {"tail_pct", pct},
+                                    {"full_s", r.full_seconds},
+                                    {"recover_s", r.recover_seconds},
+                                    {"speedup", speedup}});
     }
   }
   std::printf("\n");

@@ -15,19 +15,19 @@
 //                 costing more than it saves. Parity here is the point.
 //
 // Arms are interleaved within each repetition (on/off order alternating
-// per rep) so frequency drift lands on both sides equally. Machine-
-// readable RANGE lines feed the "range" section of run_benches.sh's
-// JSON snapshot (carac-bench/v7). `--micro` shrinks the workload to a
+// per rep) so frequency drift lands on both sides equally. Each
+// measurement is also a `RECORD range` line (bench::Record) in the
+// run_benches.sh snapshot. `--micro` shrinks the workload to a
 // sub-second slice for the CI bench-smoke job.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/programs.h"
+#include "bench_common.h"
 #include "core/engine.h"
 #include "datalog/dsl.h"
 #include "harness/runner.h"
@@ -42,11 +42,6 @@ using storage::Value;
 
 constexpr IndexKind kAllKinds[] = {IndexKind::kHash, IndexKind::kBtree,
                                    IndexKind::kLearned};
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 struct Sizes {
   int64_t rows;  // unique keys, uniform over [0, rows)
@@ -100,16 +95,8 @@ analysis::Workload MakeRangeWorkload(const Sizes& s, const Span& span) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool micro = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--micro") == 0) {
-      micro = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--micro]\n", argv[0]);
-      return 2;
-    }
-  }
-  const Sizes s = GetSizes(micro);
+  const bench::Args args = bench::ParseArgs(argc, argv, /*has_micro=*/true);
+  const Sizes s = GetSizes(args.micro);
   const std::vector<Span> spans = GetSpans(s);
 
   std::printf(
@@ -125,6 +112,7 @@ int main(int argc, char** argv) {
       const auto factory = [&]() { return MakeRangeWorkload(s, span); };
 
       core::EngineConfig on = harness::InterpretedConfig(true);
+      on.num_threads = args.threads;
       on.index_kind = kind;
       on.range_pushdown = true;
       core::EngineConfig off = on;
@@ -156,17 +144,19 @@ int main(int argc, char** argv) {
         diverged = true;
       }
 
-      const double on_s = Median(on_times);
-      const double off_s = Median(off_times);
+      const double on_s = bench::Median(on_times);
+      const double off_s = bench::Median(off_times);
       const double speedup = on_s > 0 ? off_s / on_s : 0;
       const double coverage =
           static_cast<double>(span.hi - span.lo) / s.rows;
-      std::printf(
-          "RANGE %s %s rows=%lld coverage=%.3f matched=%zu on_s=%.6f "
-          "off_s=%.6f speedup=%.2f\n",
-          storage::IndexKindName(kind), span.label,
-          static_cast<long long>(s.rows), coverage, on_rows, on_s, off_s,
-          speedup);
+      bench::Record("range", {{"kind", storage::IndexKindName(kind)},
+                              {"selectivity", span.label},
+                              {"rows", s.rows},
+                              {"coverage", coverage},
+                              {"matched", on_rows},
+                              {"on_s", on_s},
+                              {"off_s", off_s},
+                              {"speedup", speedup}});
 
       char on_cell[32], off_cell[32], ratio_cell[32];
       std::snprintf(on_cell, sizeof on_cell, "%.4f", on_s);

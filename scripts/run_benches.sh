@@ -1,482 +1,239 @@
 #!/usr/bin/env bash
-# Run the paper-reproduction bench binaries and aggregate wall-clock
-# timings into a BENCH_*.json perf-trajectory snapshot.
+# Run the paper-reproduction bench binaries and aggregate them into a
+# BENCH_*.json perf-trajectory snapshot (schema carac-bench/v8).
 #
-# Usage:
-#   scripts/run_benches.sh [--quick] [--large] [--build-dir DIR] [--out FILE]
-#                          [--baseline FILE] [--threads N] [--sweeps N]
-#                          [--ab OLD_BUILD_DIR]
+# Usage: scripts/run_benches.sh [--quick] [--large] [--build-dir DIR]
+#          [--out FILE] [--baseline FILE] [--threads N] [--sweeps N]
+#          [--ab OLD_BUILD_DIR]
 #
 #   --quick       skip the benches that take >20s at small scale
 #   --large       run with CARAC_BENCH_SCALE=large (paper-sized inputs)
-#   --build-dir   directory containing bench/ binaries
-#                 (default: autodetect build, build/release)
-#   --out         output JSON path (default: <repo>/BENCH_pr9.json)
-#   --baseline    snapshot to diff against (default: <repo>/BENCH_pr7.json;
-#                 a per-bench delta table is printed when it exists)
-#   --threads N   evaluation threads passed to the benches that accept the
-#                 flag (fig6/fig8/table2); recorded as "threads" in the
-#                 JSON. Default 1 keeps snapshots comparable to earlier
-#                 BENCH_*.json files. bench_parallel_scaling always sweeps
-#                 1/2/4/8 threads; its measurements land in the JSON's
-#                 "parallel_scaling" section.
-#   --sweeps N    run each bench N times back-to-back and record the
-#                 median wall-clock (default 1). Use on noisy/shared
-#                 hosts, where single draws swing ±10-20%; the chosen N
-#                 is recorded as "sweeps" in the JSON.
-#   --ab DIR      interleaved A/B mode: DIR holds an OLD build's bench
-#                 binaries; every sweep runs both builds back-to-back
-#                 (alternating which goes first, so thermal/frequency
-#                 drift hits both sides equally — the failure mode of
-#                 comparing two snapshots taken hours apart on a shared
-#                 host). The old build's median lands in the JSON as
-#                 "ab_seconds" per bench and a new-vs-old delta table is
-#                 printed. Pair with --sweeps 3+ for stable medians.
+#   --build-dir   directory holding bench/ (default: build, build/release)
+#   --out         output JSON (default: <repo>/BENCH_local.json, which is
+#                 gitignored; commit a snapshot as BENCH_prN.json)
+#   --baseline    snapshot to print a delta table against (default: the
+#                 highest-numbered <repo>/BENCH_pr*.json)
+#   --threads N   evaluation threads for the benches that take the flag
+#   --sweeps N    record each bench's median wall-clock over N runs
+#   --ab DIR      interleaved A/B: every sweep also runs the bench from
+#                 the OLD build in DIR, alternating which arm goes first
+#                 so drift hits both equally; the old median lands in the
+#                 JSON as "ab_seconds" and a new-vs-old table is printed
 #
-# Each bench binary's stdout is saved next to the JSON under bench_logs/.
-#
-# Schema carac-bench/v3 added an "incremental" section: per workload and
-# delta size, bench_incremental's epoch latency vs full re-evaluation
-# (full/epoch seconds + speedup), lifted from its INCREMENTAL lines.
-# Schema carac-bench/v4 adds a "persistence" section lifted from
-# bench_persistence's PERSISTENCE lines: snapshot write/load cost (kind
-# "snapshot") and recovery-vs-recompute latency (kind "recover", per
-# workload and log-tail size).
-# Schema carac-bench/v5 adds an "index" section lifted from
-# bench_index_micro's INDEX lines: per-IndexKind insert/probe/range/
-# batched-probe throughput (metric "batch" carries the batched-vs-point
-# speedup).
-# Schema carac-bench/v6 adds an "adaptive" section lifted from
-# bench_adaptive_convergence's ADAPTIVE lines (per-phase static sweep vs
-# the self-tuning policy, re-kind events, steady-state ratios), plus the
-# optional per-bench "ab_seconds" field written by --ab mode.
-# Schema carac-bench/v7 adds a "range" section lifted from
-# bench_range_pushdown's RANGE lines: per-IndexKind, per-selectivity
-# engine wall-clock with range pushdown on vs off (interleaved arms;
-# "speedup" is off/on, so >1 means the pushdown won).
+# Bench stdout is kept under bench_logs/ next to the JSON. The snapshot
+# holds a "benches" array (median seconds and exit code per binary) and a
+# "records" array: one {"bench", "section", ...fields} object per
+# `RECORD <section> key=value ...` line printed through bench::Record.
 
 set -u -o pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-mode=full
-scale=small
-build_dir=""
-out="$repo_root/BENCH_pr9.json"
-baseline="$repo_root/BENCH_pr7.json"
-threads=1
-sweeps=1
-ab_dir=""
+mode=full scale=small build_dir="" ab_dir="" threads=1 sweeps=1
+out="$repo_root/BENCH_local.json"
+baseline="$(printf '%s\n' "$repo_root"/BENCH_pr*.json | sort -V | tail -n 1)"
+
+die() { echo "error: $1" >&2; exit "${2:-2}"; }
+# int_arg NAME VALUE MAX: VALUE must be an integer in [1, MAX].
+int_arg() {
+  [[ "$2" =~ ^[0-9]+$ ]] && [ "$2" -ge 1 ] && [ "$2" -le "$3" ] ||
+    die "$1 wants an integer in [1, $3], got: $2"
+}
 
 while [ $# -gt 0 ]; do
   case "$1" in
-    --quick) mode=quick ;;
-    --large) scale=large ;;
-    --threads)
-      [ $# -ge 2 ] || { echo "error: --threads needs a value" >&2; exit 2; }
-      threads="$2"
-      case "$threads" in
-        ''|*[!0-9]*) threads=-1 ;;
-      esac
-      if [ "$threads" -lt 1 ] || [ "$threads" -gt 256 ]; then
-        echo "error: --threads wants an integer in [1, 256], got: $2" >&2
-        exit 2
-      fi
-      shift ;;
-    --sweeps)
-      [ $# -ge 2 ] || { echo "error: --sweeps needs a value" >&2; exit 2; }
-      sweeps="$2"
-      case "$sweeps" in
-        ''|*[!0-9]*) sweeps=-1 ;;
-      esac
-      if [ "$sweeps" -lt 1 ] || [ "$sweeps" -gt 100 ]; then
-        echo "error: --sweeps wants an integer in [1, 100], got: $2" >&2
-        exit 2
-      fi
-      shift ;;
-    --build-dir)
-      [ $# -ge 2 ] || { echo "error: --build-dir needs a value" >&2; exit 2; }
-      build_dir="$2"; shift ;;
-    --ab)
-      [ $# -ge 2 ] || { echo "error: --ab needs a build dir" >&2; exit 2; }
-      ab_dir="$2"; shift ;;
-    --out)
-      [ $# -ge 2 ] || { echo "error: --out needs a value" >&2; exit 2; }
-      out="$2"; shift ;;
-    --baseline)
-      [ $# -ge 2 ] || { echo "error: --baseline needs a value" >&2; exit 2; }
-      baseline="$2"; shift ;;
-    -h|--help) sed -n '2,36p' "$0"; exit 0 ;;
-    *) echo "unknown option: $1" >&2; exit 2 ;;
+    --quick) mode=quick; shift; continue ;;
+    --large) scale=large; shift; continue ;;
+    -h|--help) sed -n '2,${/^#/!q;s/^# \{0,1\}//;p}' "$0"; exit 0 ;;
+    --threads|--sweeps|--build-dir|--ab|--out|--baseline)
+      [ $# -ge 2 ] || die "$1 needs a value" ;;
+    *) die "unknown option: $1" ;;
   esac
-  shift
+  case "$1" in
+    --threads) int_arg "$1" "$2" 256; threads="$2" ;;
+    --sweeps) int_arg "$1" "$2" 100; sweeps="$2" ;;
+    --build-dir) build_dir="$2" ;;
+    --ab) ab_dir="$2" ;;
+    --out) out="$2" ;;
+    --baseline) baseline="$2" ;;
+  esac
+  shift 2
 done
 
-if [ -z "$build_dir" ]; then
-  for candidate in "$repo_root/build" "$repo_root/build/release"; do
-    if [ -d "$candidate/bench" ]; then build_dir="$candidate"; break; fi
-  done
-fi
-if [ -z "$build_dir" ] || [ ! -d "$build_dir/bench" ]; then
-  echo "error: no built bench/ directory found." >&2
-  echo "build first: cmake -B build -S . && cmake --build build -j" >&2
-  exit 1
-fi
-if [ -n "$ab_dir" ] && [ ! -d "$ab_dir/bench" ]; then
-  echo "error: --ab dir has no bench/ subdirectory: $ab_dir" >&2
-  exit 1
-fi
+for candidate in "$repo_root/build" "$repo_root/build/release"; do
+  [ -n "$build_dir" ] || [ ! -d "$candidate/bench" ] || build_dir="$candidate"
+done
+[ -d "${build_dir:-.}/bench" ] || die "no built bench/ directory found;\
+ build first: cmake -B build -S . && cmake --build build -j" 1
+[ -z "$ab_dir" ] || [ -d "$ab_dir/bench" ] ||
+  die "--ab dir has no bench/ subdirectory: $ab_dir" 1
 
 benches=(
-  bench_fig5_codegen
-  bench_fig6_macro_unopt
-  bench_fig7_micro_unopt
-  bench_fig8_macro_opt
-  bench_fig9_micro_opt
-  bench_fig10_aot
-  bench_table1_interpreted
-  bench_table2_sota
-  bench_ablation_freshness
-  bench_ablation_granularity
-  bench_ablation_storage
-  bench_storage_micro
-  bench_incremental
-  bench_index_micro
-  bench_adaptive_convergence
-  bench_parallel_scaling
-  bench_persistence
-  bench_range_pushdown
+  bench_fig5_codegen bench_fig6_macro_unopt bench_fig7_micro_unopt
+  bench_fig8_macro_opt bench_fig9_micro_opt bench_fig10_aot
+  bench_table1_interpreted bench_table2_sota bench_ablation_freshness
+  bench_ablation_granularity bench_ablation_storage bench_storage_micro
+  bench_incremental bench_index_micro bench_adaptive_convergence
+  bench_parallel_scaling bench_persistence bench_range_pushdown
 )
 # >20s each at small scale; dropped in --quick mode.
 slow_benches=" bench_fig6_macro_unopt bench_table1_interpreted bench_ablation_freshness bench_adaptive_convergence "
 # Benches that accept --threads (the Carac-side thread dimension).
-threaded_benches=" bench_fig6_macro_unopt bench_fig8_macro_opt bench_table2_sota bench_incremental bench_persistence "
+threaded_benches=" bench_fig6_macro_unopt bench_fig8_macro_opt bench_table2_sota bench_incremental bench_persistence bench_range_pushdown "
+
+export CARAC_BENCH_SCALE="$scale"  # Only "large" changes the inputs.
 
 log_dir="$(dirname "$out")/bench_logs"
 mkdir -p "$log_dir"
-
-if [ "$scale" = large ]; then
-  export CARAC_BENCH_SCALE=large
-else
-  unset CARAC_BENCH_SCALE || true
-fi
-
-rows=""
-failures=0
-scaling_ran=false
-incremental_ran=false
-persistence_ran=false
-index_ran=false
-adaptive_ran=false
-range_ran=false
+# One line per bench run: "<bench> <arm> <nanoseconds> <exit code>", or
+# "<bench> skipped". Only the benches listed here reach the JSON, so a
+# stale log from an earlier invocation never lends its numbers.
+runs="$log_dir/runs.txt"
+: > "$runs"
+ab_orders=("old new" "new old")  # Indexed by sweep parity.
 for bench in "${benches[@]}"; do
   exe="$build_dir/bench/$bench"
-  skipped=false
-  if [ "$mode" = quick ] && [[ "$slow_benches" == *" $bench "* ]]; then
-    skipped=true
+  # bench_storage_micro is optional (needs google-benchmark).
+  if [[ "$mode$slow_benches" == quick*" $bench "* ]] || [ ! -x "$exe" ]; then
+    echo "skip  $bench"; echo "$bench skipped" >> "$runs"; continue
   fi
-  if [ ! -x "$exe" ]; then
-    # bench_storage_micro is optional (needs google-benchmark).
-    echo "skip  $bench (not built)"
-    skipped=true
-  fi
-
-  if [ "$skipped" = true ]; then
-    rows="$rows    {\"name\": \"$bench\", \"skipped\": true},\n"
-    continue
-  fi
-
   # Expanded as ${bench_args[@]+...} below: plain "${bench_args[@]}" on an
   # empty array trips `set -u` on bash < 4.4.
   bench_args=()
-  if [ "$threads" != 1 ] && [[ "$threaded_benches" == *" $bench "* ]]; then
+  [[ "$threads" != 1 && "$threaded_benches" == *" $bench "* ]] &&
     bench_args=(--threads "$threads")
-  fi
+  # A bench the old build does not have just runs single-armed.
+  ab_exe="$ab_dir/bench/$bench"
+  if [ -z "$ab_dir" ] || [ ! -x "$ab_exe" ]; then ab_exe=""; fi
 
-  # In --ab mode the same bench from the old build runs inside the same
-  # sweep (old log lands in <bench>.old.txt). A bench the old build does
-  # not have (newly added this PR) just runs single-armed.
-  ab_exe=""
-  if [ -n "$ab_dir" ] && [ -x "$ab_dir/bench/$bench" ]; then
-    ab_exe="$ab_dir/bench/$bench"
-  fi
-
-  printf 'run   %s ... ' "$bench"
-  # Median wall-clock of --sweeps back-to-back runs (worst exit code
-  # wins; the log keeps the last run's stdout). Same principle the
-  # harness's MeasureMedian applies inside a bench, applied to whole
-  # binaries so one noisy draw on a shared host cannot skew a snapshot.
-  sweep_times=""
-  ab_times=""
-  code=0
-  ab_code=0
-  for _sweep in $(seq 1 "$sweeps"); do
+  printf 'run   %s ...' "$bench"
+  for sweep in $(seq 1 "$sweeps"); do
     # A/B arms alternate which build goes first each sweep, so frequency
     # ramps and cache warmth cannot systematically favor one side.
-    if [ -z "$ab_exe" ]; then
-      arms="new"
-    elif [ $((_sweep % 2)) -eq 0 ]; then
-      arms="old new"
-    else
-      arms="new old"
-    fi
+    arms=new
+    [ -z "$ab_exe" ] || arms=${ab_orders[sweep % 2]}
     for arm in $arms; do
-      if [ "$arm" = new ]; then
-        arm_exe="$exe"; arm_log="$log_dir/$bench.txt"
-      else
-        arm_exe="$ab_exe"; arm_log="$log_dir/$bench.old.txt"
-      fi
+      arm_exe="$exe" arm_log="$log_dir/$bench.txt"
+      [ "$arm" = new ] || arm_exe="$ab_exe" arm_log="$log_dir/$bench.old.txt"
       start_ns=$(date +%s%N)
-      if "$arm_exe" ${bench_args[@]+"${bench_args[@]}"} \
-          > "$arm_log" 2>&1; then
-        sweep_code=0
-      else
-        sweep_code=$?
-      fi
-      end_ns=$(date +%s%N)
-      arm_secs=$(awk -v d=$((end_ns - start_ns)) \
-        'BEGIN{printf "%.3f", d/1e9}')
-      if [ "$arm" = new ]; then
-        sweep_times="$sweep_times $arm_secs"
-        [ "$sweep_code" -ne 0 ] && code=$sweep_code
-      else
-        ab_times="$ab_times $arm_secs"
-        [ "$sweep_code" -ne 0 ] && ab_code=$sweep_code
-      fi
+      "$arm_exe" ${bench_args[@]+"${bench_args[@]}"} > "$arm_log" 2>&1
+      arm_code=$?
+      ns=$(($(date +%s%N) - start_ns))
+      echo "$bench $arm $ns $arm_code" >> "$runs"
+      printf ' %s %d.%03ds' "$arm" $((ns / 1000000000)) $((ns / 1000000 % 1000))
+      [ "$arm_code" -eq 0 ] || printf ' (exit %d)' "$arm_code"
     done
   done
-  if [ "$code" -ne 0 ]; then
-    failures=$((failures + 1))
-  fi
-  if [ "$bench" = bench_parallel_scaling ] && [ "$code" = 0 ]; then
-    scaling_ran=true
-  fi
-  if [ "$bench" = bench_incremental ] && [ "$code" = 0 ]; then
-    incremental_ran=true
-  fi
-  if [ "$bench" = bench_persistence ] && [ "$code" = 0 ]; then
-    persistence_ran=true
-  fi
-  if [ "$bench" = bench_index_micro ] && [ "$code" = 0 ]; then
-    index_ran=true
-  fi
-  if [ "$bench" = bench_adaptive_convergence ] && [ "$code" = 0 ]; then
-    adaptive_ran=true
-  fi
-  if [ "$bench" = bench_range_pushdown ] && [ "$code" = 0 ]; then
-    range_ran=true
-  fi
-  # shellcheck disable=SC2086
-  seconds=$(printf '%s\n' $sweep_times | sort -n |
-    awk '{a[NR]=$1} END{print a[int((NR+1)/2)]}')
-  ab_field=""
-  if [ -n "$ab_exe" ] && [ "$ab_code" -eq 0 ]; then
-    # shellcheck disable=SC2086
-    ab_seconds=$(printf '%s\n' $ab_times | sort -n |
-      awk '{a[NR]=$1} END{print a[int((NR+1)/2)]}')
-    ab_delta=$(awk -v n="$seconds" -v o="$ab_seconds" \
-      'BEGIN{if (o > 0) printf "%+.1f%%", 100*(n-o)/o; else printf "-"}')
-    echo "${seconds}s vs old ${ab_seconds}s ($ab_delta, exit $code," \
-      "median of $sweeps)"
-    ab_field=" \"ab_seconds\": $ab_seconds,"
-  elif [ -n "$ab_exe" ]; then
-    echo "${seconds}s (exit $code, median of $sweeps; old arm FAILED," \
-      "exit $ab_code)"
-  elif [ -n "$ab_dir" ]; then
-    echo "${seconds}s (exit $code, median of $sweeps; no old binary)"
-  else
-    echo "${seconds}s (exit $code, median of $sweeps)"
-  fi
-  rows="$rows    {\"name\": \"$bench\", \"skipped\": false,"
-  rows="$rows \"seconds\": $seconds,$ab_field \"exit_code\": $code},\n"
+  echo
 done
-rows="${rows%,\\n}"
 
-# The thread-scaling measurements, lifted from bench_parallel_scaling's
-# machine-readable SCALING lines. Gated on the bench having run (and
-# succeeded) in THIS invocation: a stale log from an earlier sweep must
-# not lend its numbers to a snapshot that skipped the bench.
-scaling_rows=""
-scaling_log="$log_dir/bench_parallel_scaling.txt"
-if [ "$scaling_ran" = true ] && [ -f "$scaling_log" ]; then
-  scaling_rows=$(awk '/^SCALING /{
-    printf "    {\"workload\": \"%s\", \"threads\": %s, \"seconds\": %s, \"speedup\": %s},\n", \
-      $2, substr($3, 9), substr($4, 9), substr($5, 9)
-  }' "$scaling_log")
-  scaling_rows="${scaling_rows%,}"
-fi
+# The one parser: medians, records, the snapshot and the delta tables.
+python3 - "$out" "$baseline" "$log_dir" "$mode" "$scale" "$threads" \
+    "$sweeps" "$ab_dir" "$(uname -srm)" "$(nproc)" \
+    "$(c++ --version 2>/dev/null | head -n 1)" <<'PYEOF'
+import json, math, os, re, sys, time
 
-# Epoch-latency measurements, lifted from bench_incremental's
-# machine-readable INCREMENTAL lines. Same staleness gate as the scaling
-# section: only a run from THIS invocation contributes.
-incremental_rows=""
-incremental_log="$log_dir/bench_incremental.txt"
-if [ "$incremental_ran" = true ] && [ -f "$incremental_log" ]; then
-  incremental_rows=$(awk '/^INCREMENTAL /{
-    printf "    {\"workload\": \"%s\", \"delta_pct\": %s, \"full_seconds\": %s, \"epoch_seconds\": %s, \"speedup\": %s},\n", \
-      $2, substr($3, 11), substr($4, 6), substr($5, 7), substr($6, 9)
-  }' "$incremental_log")
-  incremental_rows="${incremental_rows%,}"
-fi
+(out, baseline, log_dir, mode, scale, threads, sweeps, ab_dir, uname, nproc,
+ compiler) = sys.argv[1:]
 
-# Durable-state measurements, lifted from bench_persistence's
-# PERSISTENCE lines (workload + kind, then generic key=value fields).
-# Same staleness gate as the other sections: only a run from THIS
-# invocation contributes.
-persistence_rows=""
-persistence_log="$log_dir/bench_persistence.txt"
-if [ "$persistence_ran" = true ] && [ -f "$persistence_log" ]; then
-  persistence_rows=$(awk '/^PERSISTENCE /{
-    printf "    {\"workload\": \"%s\", \"kind\": \"%s\"", $2, $3
-    for (i = 4; i <= NF; ++i) {
-      split($i, kv, "=")
-      printf ", \"%s\": %s", kv[1], kv[2]
-    }
-    printf "},\n"
-  }' "$persistence_log")
-  persistence_rows="${persistence_rows%,}"
-fi
+def token(text):  # Integers and finite floats become numbers.
+    try:
+        return int(text) if re.fullmatch(r"-?[0-9]+", text) else \
+            float(text) if math.isfinite(float(text)) else text
+    except ValueError:
+        return text
 
-# Per-IndexKind micro-costs, lifted from bench_index_micro's INDEX lines
-# (kind + metric, then generic key=value fields). Same staleness gate as
-# the other sections: only a run from THIS invocation contributes.
-index_rows=""
-index_log="$log_dir/bench_index_micro.txt"
-if [ "$index_ran" = true ] && [ -f "$index_log" ]; then
-  index_rows=$(awk '/^INDEX /{
-    printf "    {\"kind\": \"%s\", \"metric\": \"%s\"", $2, $3
-    for (i = 4; i <= NF; ++i) {
-      split($i, kv, "=")
-      printf ", \"%s\": %s", kv[1], kv[2]
-    }
-    printf "},\n"
-  }' "$index_log")
-  index_rows="${index_rows%,}"
-fi
+def records(bench, path):
+    with open(path) as log:
+        lines = [line.split()[1:] for line in log if line.startswith("RECORD ")]
+    return [{"bench": bench, "section": section,
+             **{k: token(v) for k, _, v in (f.partition("=") for f in fields)}}
+            for section, *fields in lines]
 
-# Self-tuning-policy measurements, lifted from ADAPTIVE lines of
-# bench_adaptive_convergence. Lines carry either a bare record word
-# (rekind / steady / summary) or start straight at key=value fields
-# (the per-config phase timings); string-valued fields (kind names,
-# config/phase labels) are quoted, numerics pass through. Same
-# staleness gate as the other sections.
-adaptive_rows=""
-adaptive_log="$log_dir/bench_adaptive_convergence.txt"
-if [ "$adaptive_ran" = true ] && [ -f "$adaptive_log" ]; then
-  adaptive_rows=$(awk '/^ADAPTIVE /{
-    if ($2 ~ /=/) { printf "    {\"record\": \"phase\""; first = 2 }
-    else          { printf "    {\"record\": \"%s\"", $2; first = 3 }
-    for (i = first; i <= NF; ++i) {
-      split($i, kv, "=")
-      if (kv[2] ~ /^-?[0-9]+([.][0-9]+)?$/)
-        printf ", \"%s\": %s", kv[1], kv[2]
-      else
-        printf ", \"%s\": \"%s\"", kv[1], kv[2]
-    }
-    printf "},\n"
-  }' "$adaptive_log")
-  adaptive_rows="${adaptive_rows%,}"
-fi
+runs = {}  # bench -> arm ("new", "old" or "skipped") -> [(ns, exit code)]
+with open(os.path.join(log_dir, "runs.txt")) as f:
+    for bench, arm, *rest in (line.split() for line in f):
+        runs.setdefault(bench, {}).setdefault(arm, []).append(
+            tuple(map(int, rest)))
+benches, all_records = [], []
+for name, arms in runs.items():
+    if "skipped" in arms:
+        benches.append({"name": name, "skipped": True})
+        continue
+    # Each arm's lower middle draw, as the earlier bash harness kept it.
+    secs = {arm: round(sorted(n for n, _ in r)[(len(r) - 1) // 2] / 1e9, 3)
+            for arm, r in arms.items()}
+    codes = [code for _, code in arms["new"] if code]
+    row = {"name": name, "skipped": False, "seconds": secs["new"]}
+    if "old" in arms and not any(code for _, code in arms["old"]):
+        row["ab_seconds"] = secs["old"]
+    row["exit_code"] = codes[-1] if codes else 0
+    benches.append(row)
+    if not codes:
+        all_records += records(name, os.path.join(log_dir, name + ".txt"))
 
-# Range-pushdown A/B measurements, lifted from bench_range_pushdown's
-# RANGE lines (kind + selectivity label, then generic key=value fields).
-# Same staleness gate as the other sections: only a run from THIS
-# invocation contributes.
-range_rows=""
-range_log="$log_dir/bench_range_pushdown.txt"
-if [ "$range_ran" = true ] && [ -f "$range_log" ]; then
-  range_rows=$(awk '/^RANGE /{
-    printf "    {\"kind\": \"%s\", \"selectivity\": \"%s\"", $2, $3
-    for (i = 4; i <= NF; ++i) {
-      split($i, kv, "=")
-      printf ", \"%s\": %s", kv[1], kv[2]
-    }
-    printf "},\n"
-  }' "$range_log")
-  range_rows="${range_rows%,}"
-fi
+snap = {"schema": "carac-bench/v8",
+        "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "mode": mode, "scale": scale, "threads": int(threads),
+        "sweeps": int(sweeps), **({"ab_build_dir": ab_dir} if ab_dir else {}),
+        "host": {"uname": uname, "nproc": int(nproc), "compiler": compiler},
+        "benches": benches, "records": all_records}
 
-{
-  echo "{"
-  echo "  \"schema\": \"carac-bench/v7\","
-  echo "  \"timestamp_utc\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
-  echo "  \"mode\": \"$mode\","
-  echo "  \"scale\": \"$scale\","
-  echo "  \"threads\": $threads,"
-  echo "  \"sweeps\": $sweeps,"
-  if [ -n "$ab_dir" ]; then
-    echo "  \"ab_build_dir\": \"$ab_dir\","
-  fi
-  echo "  \"host\": {"
-  echo "    \"uname\": \"$(uname -srm)\","
-  echo "    \"nproc\": $(nproc),"
-  echo "    \"compiler\": \"$(c++ --version | head -1 | sed 's/"/\\"/g')\""
-  echo "  },"
-  echo "  \"benches\": ["
-  printf '%b\n' "$rows"
-  echo "  ],"
-  echo "  \"parallel_scaling\": ["
-  if [ -n "$scaling_rows" ]; then printf '%s\n' "$scaling_rows"; fi
-  echo "  ],"
-  echo "  \"incremental\": ["
-  if [ -n "$incremental_rows" ]; then printf '%s\n' "$incremental_rows"; fi
-  echo "  ],"
-  echo "  \"persistence\": ["
-  if [ -n "$persistence_rows" ]; then printf '%s\n' "$persistence_rows"; fi
-  echo "  ],"
-  echo "  \"index\": ["
-  if [ -n "$index_rows" ]; then printf '%s\n' "$index_rows"; fi
-  echo "  ],"
-  echo "  \"adaptive\": ["
-  if [ -n "$adaptive_rows" ]; then printf '%s\n' "$adaptive_rows"; fi
-  echo "  ],"
-  echo "  \"range\": ["
-  if [ -n "$range_rows" ]; then printf '%s\n' "$range_rows"; fi
-  echo "  ]"
-  echo "}"
-} > "$out"
+def member(key, value):  # One array element per line keeps diffs small.
+    if not isinstance(value, list) or not value:
+        return "  %s: %s" % (json.dumps(key), json.dumps(value))
+    return "  %s: [\n%s\n  ]" % (json.dumps(key), ",\n".join(
+        "    " + json.dumps(x) for x in value))
+with open(out, "w") as f:
+    f.write("{\n%s\n}\n" % ",\n".join(member(k, v) for k, v in snap.items()))
+print("wrote %s (logs in %s/)" % (out, log_dir))
+MEASURED = re.compile(r"seconds|.*_s|.*_seconds|speedup")
 
-echo "wrote $out (logs in $log_dir/)"
+def keyed(recs):  # On the section plus the string and integer fields.
+    return {" ".join([r["section"]] + ["%s=%s" % (k, v) for k, v in r.items()
+                                       if k not in ("bench", "section")
+                                       and not isinstance(v, float)]): r
+            for r in recs}
 
-# Per-bench delta table against the baseline snapshot, so a perf
-# regression (or win) is visible at the end of every run.
-if [ -f "$baseline" ] && [ "$baseline" != "$out" ] \
-    && command -v python3 >/dev/null 2>&1; then
-  python3 - "$baseline" "$out" <<'PYEOF'
-import json, sys
+def record_rows(base_recs, new_recs):
+    base = keyed(base_recs)
+    return [("%s %s" % (key, field), base[key][field], value)
+            for key, rec in keyed(new_recs).items() if key in base
+            for field, value in rec.items()
+            if MEASURED.fullmatch(field) and isinstance(value, (int, float))
+            and isinstance(base[key].get(field), (int, float))]
 
-with open(sys.argv[1]) as f:
-    base = json.load(f)
-with open(sys.argv[2]) as f:
-    new = json.load(f)
+def delta_table(title, rows):
+    if not rows:
+        return
+    width = max(len(label) for label, _, _ in rows)
+    print("\n" + title)
+    print("%-*s  %10s  %10s  %8s" % (width, "", "base", "new", "delta"))
+    for label, b, n in rows:
+        delta = "%+7.1f%%" % (100.0 * (n - b) / b) if b and b > 0 else "-"
+        print("%-*s  %10s  %10.4g  %8s" % (
+            width, label, "-" if b is None else "%.4g" % b, n, delta))
 
-def seconds(snap):
-    return {b["name"]: b.get("seconds")
-            for b in snap.get("benches", []) if not b.get("skipped")}
+delta_table("new vs old build (--ab %s), seconds:" % ab_dir,
+            [(b["name"], b["ab_seconds"], b["seconds"])
+             for b in benches if "ab_seconds" in b])
 
-base_s, new_s = seconds(base), seconds(new)
-if base.get("mode") != new.get("mode") or base.get("scale") != new.get("scale"):
-    print("note: baseline mode/scale (%s/%s) differs from this run (%s/%s)" %
-          (base.get("mode"), base.get("scale"),
-           new.get("mode"), new.get("scale")))
-if base.get("threads", 1) != new.get("threads", 1):
-    print("note: baseline threads=%s differs from this run's threads=%s" %
-          (base.get("threads", 1), new.get("threads", 1)))
-
-rows = [(n, base_s.get(n), t) for n, t in new_s.items()]
-width = max((len(n) for n, _, _ in rows), default=10)
-print()
-print("delta vs %s:" % sys.argv[1])
-print("%-*s  %9s  %9s  %8s" % (width, "bench", "base (s)", "new (s)", "delta"))
-for name, b, t in rows:
-    if b is None or b <= 0:
-        print("%-*s  %9s  %9.3f  %8s" % (width, name, "-", t, "-"))
-    else:
-        print("%-*s  %9.3f  %9.3f  %+7.1f%%" %
-              (width, name, b, t, 100.0 * (t - b) / b))
+if baseline and os.path.isfile(baseline) and \
+        os.path.abspath(baseline) != os.path.abspath(out):
+    with open(baseline) as f:
+        base = json.load(f)
+    for field, default in (("mode", None), ("scale", None), ("threads", 1)):
+        if base.get(field, default) != snap[field]:
+            print("note: baseline %s=%s differs from this run's %s=%s" %
+                  (field, base.get(field, default), field, snap[field]))
+    base_s = {b["name"]: b.get("seconds")
+              for b in base.get("benches", []) if not b.get("skipped")}
+    delta_table("delta vs %s, seconds:" % baseline,
+                [(b["name"], base_s.get(b["name"]), b["seconds"])
+                 for b in benches if not b["skipped"]])
+    if base.get("schema") == "carac-bench/v8":
+        delta_table("delta vs %s, records:" % baseline,
+                    record_rows(base.get("records", []), all_records))
+failed = [b["name"] for b in benches if b.get("exit_code")]
+if failed:
+    sys.exit("error: %d bench(es) failed: %s" % (len(failed), " ".join(failed)))
 PYEOF
-fi
-
-if [ "$failures" -gt 0 ]; then
-  echo "error: $failures bench(es) failed" >&2
-  exit 1
-fi
